@@ -2,8 +2,8 @@
 the digit statistics together.
 
 Each check returns a `CriterionResult` row with observed and expected
-values; `run_all` executes them (optionally filtered, optionally across
-worker threads) and `format_table` renders the pass/fail table.  The
+values; `run_all` executes them (optionally filtered) and
+`format_table` renders the pass/fail table.  The
 checks recompute everything from scratch: frozen constants here were
 produced by independent derivations (geometric series by hand, direct
 root isolation on the polynomial form) rather than by the code under
@@ -16,7 +16,6 @@ import math
 import random
 import time
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -118,7 +117,6 @@ def check_closed_form_dimensions() -> CriterionResult:
         f"{want_main:.12f}, {want_pair:.12f}",
         "1e-9; <0.1s each",
         t0,
-        f"solver times {dt_main * 1e3:.1f}ms, {dt_pair * 1e3:.1f}ms",
     )
 
 
@@ -465,27 +463,20 @@ CRITERIA = (
 )
 
 
-def run_all(
-    only: str | None = None, seed: int = 0, workers: int = 1
-) -> list[CriterionResult]:
+def run_all(only: str | None = None, seed: int = 0) -> list[CriterionResult]:
     """Run the acceptance rows (name-filtered by substring when ``only``
-    is given), in declaration order; ``workers`` > 1 fans the rows out
-    over threads (every check is a pure computation)."""
-    selected = [
-        (name, fn) for name, fn in CRITERIA if only is None or only in name
-    ]
-
-    def invoke(item):
-        name, fn = item
+    is given), in declaration order."""
+    results = []
+    for name, fn in CRITERIA:
+        if only is not None and only not in name:
+            continue
         try:
-            return fn(seed) if "seed" in fn.__code__.co_varnames else fn()
+            results.append(fn(seed) if "seed" in fn.__code__.co_varnames else fn())
         except Exception as e:  # noqa: BLE001 - a crashed row is a failed row
-            return CriterionResult(name, False, f"exception: {e}", "clean run", "-", 0.0)
-
-    if workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(invoke, selected))
-    return [invoke(item) for item in selected]
+            results.append(
+                CriterionResult(name, False, f"exception: {e}", "clean run", "-", 0.0)
+            )
+    return results
 
 
 def format_table(results: list[CriterionResult]) -> str:

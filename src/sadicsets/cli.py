@@ -7,16 +7,13 @@ timestamps enter the payloads, so identical inputs give byte-identical
 outputs.
 
 Exit codes: 0 success, 1 domain errors (bad parameters, malformed
-files, pattern violations), 2 resource-budget refusals.  The
-``SADICSETS_WORKERS`` environment variable sets the worker-thread count
-for the `reproduce` suite.
+files, pattern violations), 2 resource-budget refusals.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,12 +79,11 @@ class RunConfig:
     output: str | None = None
     only: str | None = None
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
             raise SadicError(f"unknown subcommand {self.subcommand!r}")
-        if self.tol <= 0:
+        if not self.tol > 0:  # also rejects NaN
             raise SadicError("tolerance must be positive")
         if self.depth < 1:
             raise SadicError("depth must be >= 1")
@@ -133,7 +129,11 @@ def _load_alphabet(source: str) -> ComboAlphabet:
     if source == "sprime3":
         return sprime3_alphabet()
     if source.startswith("tilde:"):
-        return tilde_alphabet(int(source.split(":", 1)[1]))
+        try:
+            s = int(source.split(":", 1)[1])
+        except ValueError as e:
+            raise SadicError(f"bad alphabet spec {source!r}: expected tilde:<s>") from e
+        return tilde_alphabet(s)
     try:
         data = json.loads(Path(source).read_text())
     except OSError as e:
@@ -221,13 +221,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         return default if value is None else value
 
-    workers = 1
-    raw = os.environ.get("SADICSETS_WORKERS", "")
-    if raw.strip():
-        try:
-            workers = max(1, int(raw))
-        except ValueError as e:
-            raise SadicError(f"SADICSETS_WORKERS must be an integer: {raw!r}") from e
     tail = getattr(args, "tail", None)
     period = getattr(args, "period", None)
     try:
@@ -251,7 +244,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             output=get("output"),
             only=get("only"),
             seed=get("seed", 0),
-            workers=workers,
         )
     except ValueError as e:
         raise SadicError(f"bad numeric argument: {e}") from e
@@ -410,7 +402,7 @@ def dispatch(config: RunConfig) -> tuple[int, str]:
         return 0, _to_json(_payload("normal", {"s": config.s}, v.to_json()))
 
     if cmd == "reproduce":
-        results = run_all(only=config.only, seed=config.seed, workers=config.workers)
+        results = run_all(only=config.only, seed=config.seed)
         if not results:
             raise SadicError(f"no acceptance row matches {config.only!r}")
         code = 0 if all(r.passed for r in results) else 1
@@ -425,17 +417,6 @@ def dispatch(config: RunConfig) -> tuple[int, str]:
         return code, format_table(results)
 
     raise SadicError(f"unknown subcommand {cmd!r}")
-
-
-def reproduce_all(
-    only: str | None = None, seed: int = 0, workers: int = 1
-) -> tuple[int, str]:
-    """Programmatic form of the reproduce subcommand: run the acceptance
-    rows and render the pass/fail table.  Returns (exit status, text)."""
-    results = run_all(only=only, seed=seed, workers=workers)
-    if not results:
-        raise SadicError(f"no acceptance row matches {only!r}")
-    return (0 if all(r.passed for r in results) else 1), format_table(results)
 
 
 def _to_json(doc: dict) -> str:

@@ -7,6 +7,11 @@ with N total digits pins the stream's first N digits, so the prefix
 cylinder is value(prefix) + s**-N * E, where E is the whole set; its
 hull therefore scales the whole-set extrema by s**-N exactly.
 
+Every prefix hull in the package, marker-run cylinders and covering
+stages included, is computed here in one way: the prefix is carried as
+an integer numerator over s**N (`_extend`), and each hull endpoint
+becomes a single `Fraction` only at the end (`_hull`).
+
 Whole-set extrema follow the single-word periodic rule: the least and
 greatest element are attained by repeating one alphabet word forever.
 `comboset_extrema` always re-checks that rule by brute force against
@@ -22,7 +27,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidDigitError, ExtremaFalsificationError, RangeError, WordError
-from .sadic import DigitString, Rational, digits_to_rational
+from .sadic import (
+    DigitString,
+    Rational,
+    _digits_int,
+    _validate_marker,
+    digits_to_rational,
+)
 
 Interval = tuple[Rational, Rational]
 
@@ -137,14 +148,29 @@ def sprime3_alphabet() -> ComboAlphabet:
 def induced_alphabet(s: int, u: int) -> ComboAlphabet:
     """The (s, u) marker-run set expressed as a combination alphabet:
     words u^(c-1) c for the usable block values c."""
-    if s < 3:
-        raise InvalidDigitError(f"s must be >= 3, got {s}")
-    if not 0 <= u < s:
-        raise InvalidDigitError(f"marker {u} out of range for base {s}")
+    _validate_marker(s, u)
     words = tuple(
         (u,) * (c - 1) + (c,) for c in range(1, s) if c != u
     )
     return ComboAlphabet(s, words)
+
+
+def _extend(s: int, words, num: int = 0, scale: int = 1) -> tuple[int, int]:
+    """Prefix num / scale (scale = s**N) followed by ``words``, returned
+    in the same integer form."""
+    for w in words:
+        step = s ** len(w)
+        num, scale = num * step + _digits_int(w, s), scale * step
+    return num, scale
+
+
+def _hull(num: int, scale: int, extrema) -> Interval:
+    """Hull num/scale + [inf E, sup E]/scale of the prefix num/scale,
+    given the whole-set ``extrema`` (inf E, sup E)."""
+    return tuple(
+        Fraction(num * e.denominator + e.numerator, e.denominator * scale)
+        for e in extrema
+    )
 
 
 def _word_value(a: ComboAlphabet, w: tuple[int, ...]) -> Rational:
@@ -174,33 +200,27 @@ class ComboExtrema:
 
 
 def _frontier(a: ComboAlphabet, max_digits: int):
-    """Yield (value, total_digits, prefix) for every word sequence whose
-    digit total lands in (max_digits - max word length, max_digits].
+    """Yield (num, scale, prefix) for every word sequence whose digit
+    total lands in (max_digits - max word length, max_digits]; the
+    prefix value is num / scale, scale = s**(digit total).
 
     Each infinite stream of alphabet words passes through exactly one
     such frontier prefix, so the frontier hulls cover the whole set.
     """
     low = max_digits - a.max_len
-    stack = [(Fraction(0), 0, ())]
+    stack = [(0, 1, 0, ())]
     while stack:
-        val, n, prefix = stack.pop()
+        num, scale, n, prefix = stack.pop()
         for w in a.combos:
             n2 = n + len(w)
             if n2 > max_digits:
                 continue
-            val2 = val + Fraction(_int_word(w, a.s), a.s**n2)
+            num2, scale2 = _extend(a.s, (w,), num, scale)
             pre2 = prefix + (w,)
             if n2 > low:
-                yield val2, n2, pre2
+                yield num2, scale2, pre2
             else:
-                stack.append((val2, n2, pre2))
-
-
-def _int_word(w: tuple[int, ...], s: int) -> int:
-    acc = 0
-    for d in w:
-        acc = acc * s + d
-    return acc
+                stack.append((num2, scale2, n2, pre2))
 
 
 def audit_extrema(
@@ -217,10 +237,8 @@ def audit_extrema(
     if max_digits < a.max_len:
         raise RangeError("audit depth must cover the longest word")
     checked = 0
-    for val, n, prefix in _frontier(a, max_digits):
-        scale = Fraction(1, a.s**n)
-        lo_hull = val + scale * inf
-        hi_hull = val + scale * sup
+    for num, scale, prefix in _frontier(a, max_digits):
+        lo_hull, hi_hull = _hull(num, scale, (inf, sup))
         if lo_hull < inf or hi_hull > sup:
             words = " ".join(word_str(w) for w in prefix)
             raise ExtremaFalsificationError(
@@ -282,15 +300,8 @@ def combo_cylinder(a: ComboAlphabet, base) -> ComboCylinder:
     for w in base:
         if w not in a.combos:
             raise WordError(f"word {word_str(w)} not in the alphabet")
-    lo, hi, _, _ = _extrema_raw(a)
-    n = sum(len(w) for w in base)
-    val = Fraction(0)
-    off = 0
-    for w in base:
-        off += len(w)
-        val += Fraction(_int_word(w, a.s), a.s**off)
-    scale = Fraction(1, a.s**n)
-    return ComboCylinder(a, base, n, val + scale * lo, val + scale * hi)
+    lo, hi = _hull(*_extend(a.s, base), _extrema_raw(a)[:2])
+    return ComboCylinder(a, base, sum(len(w) for w in base), lo, hi)
 
 
 def enumerate_prefixes(
@@ -306,10 +317,10 @@ def enumerate_prefixes(
         raise RangeError(
             f"max_digits must be >= the longest word ({a.max_len})"
         )
-    lo, hi, _, _ = _extrema_raw(a)
-    out = []
-    for val, n, prefix in _frontier(a, max_digits):
-        scale = Fraction(1, a.s**n)
-        out.append(((val + scale * lo, val + scale * hi), prefix))
+    extrema = _extrema_raw(a)[:2]
+    out = [
+        (_hull(num, scale, extrema), prefix)
+        for num, scale, prefix in _frontier(a, max_digits)
+    ]
     out.sort(key=lambda item: (item[0][0], item[1]))
     return out

@@ -17,9 +17,9 @@ and (inf0, sup0) are the extrema of the whole set:
          = 1/(s**(u+1) - 1) + u/(s-1)         for 1 <= u <= s-2
          = 1 - 1/(s**(s-2) - 1)               for u = s-1
 
-For u = 0 the endpoints are recomputed through the independent partial
-sum form g + (s-1)/(s**C (s**(s-1)-1)), g + 1/(s**C (s-1)) and the two
-derivations are asserted equal, guarding transcription slips.
+The cylinder is the word-alphabet prefix cylinder of the induced
+alphabet {u^(c-1) c}, so its hull comes from the integer prefix kernel
+of `combos`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .combos import _extend, _hull, induced_alphabet
 from .errors import InvalidBaseError, SadicError
-from .sadic import BlockSequence, Rational, element_value, rational_json
+from .sadic import (
+    BlockSequence,
+    Rational,
+    _block_words,
+    _validate_marker,
+    element_value,
+    rational_json,
+)
 
 _ORDER_INCREASING = "increasing"
 _ORDER_DECREASING = "decreasing"
@@ -36,19 +44,12 @@ _ORDER_DECREASING = "decreasing"
 
 def block_alphabet(s: int, u: int) -> tuple[int, ...]:
     """Block values available for (s, u): 1..s-1 with the marker removed."""
-    _validate_params(s, u)
+    _validate_marker(s, u)
     return tuple(c for c in range(1, s) if c != u)
 
 
-def _validate_params(s: int, u: int) -> None:
-    if s < 3:
-        raise InvalidBaseError(f"s must be >= 3, got {s}")
-    if not 0 <= u < s:
-        raise InvalidBaseError(f"marker {u} out of range for base {s}")
-
-
 def _validate_base(s: int, u: int, base: tuple[int, ...]) -> None:
-    _validate_params(s, u)
+    _validate_marker(s, u)
     for c in base:
         if not isinstance(c, int) or not 1 <= c < s:
             raise InvalidBaseError(f"base entry {c!r} out of range 1..{s - 1}")
@@ -58,7 +59,7 @@ def _validate_base(s: int, u: int, base: tuple[int, ...]) -> None:
 
 def set_extrema(s: int, u: int) -> tuple[Rational, Rational]:
     """Exact least and greatest element of the whole (s, u) set."""
-    _validate_params(s, u)
+    _validate_marker(s, u)
     if u <= 1:
         lo = Fraction(s - u - 1, s ** (s - 1) - 1) + Fraction(u, s - 1)
     else:
@@ -76,15 +77,12 @@ def set_extrema(s: int, u: int) -> tuple[Rational, Rational]:
 class Cylinder:
     """Hull data of the cylinder fixing the block prefix ``base``.
 
-    ``tau`` is the exact value of the fixed digit prefix; ``g`` is the
-    marker-0 partial sum and is None for u >= 1 (the two coincide when
-    u = 0).
+    ``tau`` is the exact value of the fixed digit prefix.
     """
 
     s: int
     u: int
     base: tuple[int, ...]
-    g: Rational | None
     tau: Rational
     inf: Rational
     sup: Rational
@@ -108,25 +106,9 @@ def cylinder(s: int, u: int, base) -> Cylinder:
     """Build the cylinder for the block prefix ``base`` (exact)."""
     base = tuple(base)
     _validate_base(s, u, base)
-    depth = 0
-    acc = Fraction(0)
-    for c in base:
-        depth += c
-        acc += Fraction(c - u, s**depth)
-    tau = acc + Fraction(u, s - 1) * (1 - Fraction(1, s**depth))
-    lo0, hi0 = set_extrema(s, u)
-    scale = Fraction(1, s**depth)
-    inf = tau + scale * lo0
-    sup = tau + scale * hi0
-    if u == 0:
-        g = acc
-        inf_alt = g + Fraction(s - 1, (s ** (s - 1) - 1) * s**depth)
-        sup_alt = g + Fraction(1, (s - 1) * s**depth)
-        if (inf_alt, sup_alt) != (inf, sup):
-            raise SadicError("internal: endpoint derivations disagree")
-    else:
-        g = None
-    return Cylinder(s, u, base, g, tau, inf, sup)
+    num, scale = _extend(s, (_block_words(base, u),))
+    inf, sup = _hull(num, scale, set_extrema(s, u))
+    return Cylinder(s, u, base, Fraction(num, scale), inf, sup)
 
 
 def cylinder_endpoints(s: int, u: int, base) -> tuple[Rational, Rational]:
@@ -272,44 +254,53 @@ def point_locate(x, s: int, u: int, depth: int) -> LocateResult:
     if depth < 1:
         raise InvalidBaseError("depth must be >= 1")
     x = Fraction(x)
-    cur = cylinder(s, u, ())
-    if not cur.inf <= x <= cur.sup:
+    extrema = set_extrema(s, u)
+    lo, hi = extrema
+    if not lo <= x <= hi:
         return LocateResult(
             "excluded",
-            hull=(cur.inf, cur.sup),
+            hull=extrema,
             detail="outside the hull of the whole set",
         )
+    words = induced_alphabet(s, u).combos
+    num, scale = 0, 1
     chain: list[int] = []
     for _ in range(depth):
-        kids = sorted(children(s, u, tuple(chain)), key=lambda c: c.inf)
-        nxt = next((k for k in kids if k.inf <= x <= k.sup), None)
+        # (inf, sup, last block, numerator, scale) of each child: the
+        # parent's numerator extended by one block word
+        kids = []
+        for w in words:
+            knum, kscale = _extend(s, (w,), num, scale)
+            kids.append((*_hull(knum, kscale, extrema), w[-1], knum, kscale))
+        kids.sort(key=lambda k: k[0])
+        nxt = next((k for k in kids if k[0] <= x <= k[1]), None)
         if nxt is None:
             for a, b in zip(kids, kids[1:]):
-                if a.sup < x < b.inf:
+                if a[1] < x < b[0]:
                     return LocateResult(
                         "excluded",
                         chain=tuple(chain),
-                        gap=(a.sup, b.inf),
+                        gap=(a[1], b[0]),
                         detail=(
                             f"in the gap between sibling blocks "
-                            f"{a.base[-1]} and {b.base[-1]}"
+                            f"{a[2]} and {b[2]}"
                         ),
                     )
             raise SadicError("internal: point lost between children")
-        chain.append(nxt.base[-1])
-        cur = nxt
-    if x == cur.inf or x == cur.sup:
-        which = "inf" if x == cur.inf else "sup"
+        lo, hi, c, num, scale = nxt
+        chain.append(c)
+    if x == lo or x == hi:
+        which = "inf" if x == lo else "sup"
         return LocateResult(
             "inside",
             chain=tuple(chain),
-            hull=(cur.inf, cur.sup),
+            hull=(lo, hi),
             detail=f"equals the {which} of its depth-{depth} cylinder",
         )
     return LocateResult(
         "undecided-at-depth",
         chain=tuple(chain),
-        hull=(cur.inf, cur.sup),
+        hull=(lo, hi),
         detail=f"interior to its depth-{depth} hull; membership unresolved",
     )
 

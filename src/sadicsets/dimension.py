@@ -24,12 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combos import ComboAlphabet, enumerate_prefixes, tilde_alphabet
+from .combos import ComboAlphabet, Interval, enumerate_prefixes, tilde_alphabet
 from .cylinders import block_alphabet
 from .errors import InvalidBaseError, RangeError, ScaleMismatchError
 from .sadic import Rational, rational_json
-
-Interval = tuple[Rational, Rational]
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ def moran_solve(eq: MoranEquation, tol: float = 1e-12) -> DimensionResult:
     short-circuit: a single word gives alpha = 0, an interval-tiling
     alphabet gives alpha = 1.
     """
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise RangeError("tolerance must be positive")
     if eq.m == 1:
         return DimensionResult(0.0, abs(eq.value(0.0) - 1.0), (0.0, 0.0), "0")

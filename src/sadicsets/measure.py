@@ -10,10 +10,10 @@ of its predecessor's length, and
 
     length(stage k) = sigma**k * d0,    d0 = whole-set hull diameter,
 
-an exact geometric decay witnessing zero Lebesgue measure.  Stages are
-assembled interval by interval from the cylinder module; the closed
-form is computed independently and the two must agree as exact
-rationals.
+an exact geometric decay witnessing zero Lebesgue measure.  Stage k is
+built level by level, extending each prefix numerator by every block
+word with the integer prefix kernel of `combos`; its interval-by-interval
+length is checked against the closed form as exact rationals.
 """
 
 from __future__ import annotations
@@ -21,15 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .cylinders import block_alphabet, cylinder, set_extrema
+from .combos import Interval, _extend, _hull, induced_alphabet
+from .cylinders import block_alphabet, set_extrema
 from .errors import RangeError, ResourceBudgetError, SadicError
 from .sadic import Rational, rational_json
 
 DEFAULT_BIT_BUDGET = 1 << 20
-
-Interval = tuple[Rational, Rational]
 
 
 def sigma(s: int, u: int) -> Rational:
@@ -89,18 +87,19 @@ def cover_stage(
             f"stage {k} for (s={s}, u={u}) needs ~{bits} denominator bits, "
             f"budget is {bit_budget}"
         )
-    alphabet = block_alphabet(s, u)
-    hulls = []
-    total = Fraction(0)
-    for base in product(alphabet, repeat=k):
-        c = cylinder(s, u, base)
-        hulls.append((c.inf, c.sup))
-        total += c.sup - c.inf
-    hulls.sort()
+    words = induced_alphabet(s, u).combos
+    prefixes = [(0, 1)]
+    for _ in range(k):
+        prefixes = [
+            _extend(s, (w,), num, scale) for num, scale in prefixes for w in words
+        ]
+    extrema = set_extrema(s, u)
+    hulls = sorted(_hull(num, scale, extrema) for num, scale in prefixes)
+    total = sum((hi - lo for lo, hi in hulls), Fraction(0))
     for (_, hi_a), (lo_b, _) in zip(hulls, hulls[1:]):
         if hi_a >= lo_b:
             raise SadicError("internal: stage intervals are not disjoint")
-    lo0, hi0 = set_extrema(s, u)
+    lo0, hi0 = extrema
     closed = sigma(s, u) ** k * (hi0 - lo0)
     if total != closed:
         raise SadicError(

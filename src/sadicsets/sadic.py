@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .errors import (
     InsufficientDigitsError,
+    InvalidBaseError,
     InvalidBlockError,
     InvalidDigitError,
     NotAMemberError,
@@ -52,6 +53,14 @@ def _digits_int(digits, s: int) -> int:
     for d in digits:
         acc = acc * s + d
     return acc
+
+
+def _validate_marker(s: int, u: int) -> None:
+    """Reject a marker-run parameter pair unless s >= 3 and 0 <= u < s."""
+    if s < 3:
+        raise InvalidBaseError(f"s must be >= 3, got {s}")
+    if not 0 <= u < s:
+        raise InvalidBaseError(f"marker {u} out of range for base {s}")
 
 
 def _primitive(word: tuple) -> tuple:
@@ -200,12 +209,7 @@ class BlockSequence:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if self.tail is not None:
             object.__setattr__(self, "tail", tuple(self.tail))
-        if self.base < 3:
-            raise InvalidBlockError(f"base must be >= 3, got {self.base}")
-        if not 0 <= self.marker < self.base:
-            raise InvalidBlockError(
-                f"marker {self.marker} out of range for base {self.base}"
-            )
+        _validate_marker(self.base, self.marker)
         if self.tail is not None and not self.tail:
             raise InvalidBlockError("tail, when given, must be nonempty")
         for c in self.blocks + (self.tail or ()):
@@ -315,10 +319,7 @@ class _BlockScanner:
     """
 
     def __init__(self, s: int, u: int):
-        if s < 3:
-            raise InvalidBlockError(f"base must be >= 3, got {s}")
-        if not 0 <= u < s:
-            raise InvalidBlockError(f"marker {u} out of range for base {s}")
+        _validate_marker(s, u)
         self.s = s
         self.u = u
         self.run = 0

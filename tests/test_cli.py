@@ -23,25 +23,14 @@ class TestParsing:
         config = config_from_args(args)
         assert config.tol == 1e-12
         assert config.fmt == "json"
-        assert config.workers == 1
-
-    def test_workers_env(self, monkeypatch):
-        monkeypatch.setenv("SADICSETS_WORKERS", "3")
-        args = build_parser().parse_args(["reproduce"])
-        assert config_from_args(args).workers == 3
-
-    def test_workers_env_garbage(self, monkeypatch):
-        monkeypatch.setenv("SADICSETS_WORKERS", "many")
-        args = build_parser().parse_args(["reproduce"])
-        with pytest.raises(SadicError):
-            config_from_args(args)
 
     def test_rejects_bad_tol(self):
-        args = build_parser().parse_args(
-            ["dim", "--s", "3", "--u", "0", "--tol", "0"]
-        )
-        with pytest.raises(SadicError):
-            config_from_args(args)
+        for tol in ("0", "nan"):
+            args = build_parser().parse_args(
+                ["dim", "--s", "3", "--u", "0", "--tol", tol]
+            )
+            with pytest.raises(SadicError):
+                config_from_args(args)
 
     def test_base_forms(self):
         for form in ("1,2", "12"):
@@ -87,10 +76,12 @@ class TestDim:
     def test_missing_file_is_domain_error(self, capsys):
         assert main(["dim", "--alphabet", "/nonexistent/alpha.json"]) == 1
 
-    def test_malformed_file_is_domain_error(self, tmp_path):
+    def test_malformed_file_is_domain_error(self, tmp_path, capsys):
         f = tmp_path / "alpha.json"
         f.write_text("{not json")
-        assert main(["dim", "--alphabet", str(f)]) == 1
+        for source in (str(f), "tilde:x"):
+            assert main(["dim", "--alphabet", source]) == 1
+            assert main(["boxcount", "--alphabet", source]) == 1
 
     def test_needs_marker_or_alphabet(self, capsys):
         assert main(["dim", "--s", "3"]) == 1
@@ -180,14 +171,18 @@ class TestReproduce:
         assert main(["reproduce", "--only", "no-such-criterion"]) == 1
 
     def test_json_payload_has_no_runtimes(self):
+        # closed-form-dimensions times its solvers; the times must stay
+        # out of the payload, which is byte-identical run to run
         code, text = run_cli(
-            "reproduce", "--only", "moran-edge", "--format", "json"
+            "reproduce", "--only", "closed-form", "--format", "json"
         )
         payload = json.loads(text)
         assert code == 0
         rows = payload["results"]
         assert rows and all("runtime" not in row for row in rows)
         assert all(row["passed"] for row in rows)
+        again = run_cli("reproduce", "--only", "closed-form", "--format", "json")
+        assert again == (code, text)
 
 
 class TestHarness:

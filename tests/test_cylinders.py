@@ -83,6 +83,25 @@ class TestCylinder:
         with pytest.raises(InvalidBaseError):
             cylinder(4, 2, (2,))
 
+    @given(st.integers(3, 12), st.data())
+    @settings(deadline=None)
+    def test_marker_zero_partial_sum_form(self, s, data):
+        # independent u = 0 derivation: with g = sum c_k s**-(c_1+..+c_k)
+        # and C = sum(base), the hull is
+        # [g + (s-1)/((s**(s-1)-1) s**C), g + 1/((s-1) s**C)]
+        base = tuple(
+            data.draw(st.lists(st.integers(1, s - 1), max_size=40), label="base")
+        )
+        g = Fraction(0)
+        depth = 0
+        for c in base:
+            depth += c
+            g += Fraction(c, s**depth)
+        c = cylinder(s, 0, base)
+        assert c.inf == g + Fraction(s - 1, (s ** (s - 1) - 1) * s**depth)
+        assert c.sup == g + Fraction(1, (s - 1) * s**depth)
+        assert c.tau == g
+
     @given(marked_bases())
     @settings(deadline=None)
     def test_diameter_is_width(self, params):
@@ -213,7 +232,9 @@ class TestPointLocate:
         from sadicsets import BlockSequence, element_value
 
         x = element_value(BlockSequence(s, 0, (), (c,)))
-        assert point_locate(x, s, 0, depth=10).status != "excluded"
+        r = point_locate(x, s, 0, depth=10)
+        assert r.status != "excluded"
+        assert r.hull == cylinder_endpoints(s, 0, r.chain)
 
     def test_extremal_members_certified(self):
         # repeating block 1 and block 2 attain sup and inf for s=3

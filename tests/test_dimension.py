@@ -84,6 +84,8 @@ class TestMoranSolve:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(RangeError):
             moran_solve(MoranEquation(3, {1: 1, 2: 1}), tol=0.0)
+        with pytest.raises(RangeError):
+            moran_solve(MoranEquation(3, {1: 1, 2: 1}), tol=float("nan"))
 
     def test_rejects_empty_counts(self):
         with pytest.raises(InvalidBaseError):

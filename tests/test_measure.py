@@ -1,6 +1,7 @@
 """Covering-stage lengths and the geometric decay of the marker sets."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from sadicsets import (
     RangeError,
     ResourceBudgetError,
+    block_alphabet,
     cover_stage,
+    cylinder_endpoints,
     measure_decay_report,
     set_extrema,
     sigma,
@@ -71,6 +74,14 @@ class TestCoverStage:
         stage = cover_stage(3, 0, 8)
         assert stage.total_length == Fraction(4, 9) ** 8 * Fraction(1, 4)
         assert stage.total_length < Fraction(1, 1000)
+
+    @given(st.integers(3, 5), st.integers(1, 3))
+    @settings(deadline=None, max_examples=20)
+    def test_intervals_are_cylinder_hulls(self, s, k):
+        for u in range(s):
+            bases = product(block_alphabet(s, u), repeat=k)
+            hulls = sorted(cylinder_endpoints(s, u, base) for base in bases)
+            assert cover_stage(s, u, k).intervals == tuple(hulls)
 
     def test_intervals_disjoint_and_sorted(self):
         stage = cover_stage(3, 0, 5)
