@@ -29,7 +29,6 @@ from .combos import (
     tilde_alphabet,
 )
 from .cylinders import (
-    block_alphabet,
     cylinder,
     cylinder_diameter,
     cylinder_order,
@@ -48,6 +47,7 @@ from .normality import (
 from .sadic import (
     BlockSequence,
     DigitString,
+    block_alphabet,
     block_decode,
     block_encode,
     element_value,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,8 +84,8 @@ class RunConfig:
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
             raise SadicError(f"unknown subcommand {self.subcommand!r}")
-        if not self.tol > 0:  # also rejects NaN
-            raise SadicError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:  # also rejects NaN
+            raise SadicError("tolerance must be positive and finite")
         if self.depth < 1:
             raise SadicError("depth must be >= 1")
         if self.fmt not in ("json", "csv", "table"):

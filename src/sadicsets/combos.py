@@ -30,8 +30,9 @@ from .errors import InvalidDigitError, ExtremaFalsificationError, RangeError, Wo
 from .sadic import (
     DigitString,
     Rational,
+    _block_words,
     _digits_int,
-    _validate_marker,
+    block_alphabet,
     digits_to_rational,
 )
 
@@ -44,9 +45,13 @@ def parse_word(word) -> tuple[int, ...]:
         if not word or not word.isdigit():
             raise WordError(f"malformed word {word!r}")
         return tuple(int(ch) for ch in word)
-    out = tuple(int(d) for d in word)
+    out = tuple(word)
     if not out:
         raise WordError("empty word")
+    for d in out:
+        # a float or bool digit is malformed, not something to truncate
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise WordError(f"malformed digit {d!r} in word {list(out)}")
     return out
 
 
@@ -64,9 +69,13 @@ class ComboAlphabet:
     combos: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if isinstance(self.combos, str):
+            raise WordError("combos must be a list of words, not one string")
         object.__setattr__(
             self, "combos", tuple(parse_word(w) for w in self.combos)
         )
+        if not isinstance(self.s, int):
+            raise InvalidDigitError(f"base must be an integer, got {self.s!r}")
         if self.s < 2:
             raise InvalidDigitError(f"base must be >= 2, got {self.s}")
         if not self.combos:
@@ -110,9 +119,7 @@ class ComboAlphabet:
 
     @staticmethod
     def from_json(obj: dict) -> ComboAlphabet:
-        return ComboAlphabet(
-            int(obj["s"]), tuple(parse_word(w) for w in obj["combos"])
-        )
+        return ComboAlphabet(obj["s"], obj["combos"])
 
 
 def tilde_alphabet(s: int) -> ComboAlphabet:
@@ -148,10 +155,7 @@ def sprime3_alphabet() -> ComboAlphabet:
 def induced_alphabet(s: int, u: int) -> ComboAlphabet:
     """The (s, u) marker-run set expressed as a combination alphabet:
     words u^(c-1) c for the usable block values c."""
-    _validate_marker(s, u)
-    words = tuple(
-        (u,) * (c - 1) + (c,) for c in range(1, s) if c != u
-    )
+    words = tuple(_block_words((c,), u) for c in block_alphabet(s, u))
     return ComboAlphabet(s, words)
 
 

@@ -34,18 +34,13 @@ from .sadic import (
     Rational,
     _block_words,
     _validate_marker,
+    block_alphabet,
     element_value,
     rational_json,
 )
 
 _ORDER_INCREASING = "increasing"
 _ORDER_DECREASING = "decreasing"
-
-
-def block_alphabet(s: int, u: int) -> tuple[int, ...]:
-    """Block values available for (s, u): 1..s-1 with the marker removed."""
-    _validate_marker(s, u)
-    return tuple(c for c in range(1, s) if c != u)
 
 
 def _validate_base(s: int, u: int, base: tuple[int, ...]) -> None:
@@ -322,31 +317,29 @@ def extension_value_bounds(
     if n_blocks < 1:
         raise InvalidBaseError("n_blocks must be >= 1")
     alphabet = block_alphabet(s, u)
-    mdim = n_blocks * max(alphabet)
+    lo_c, hi_c = alphabet[0], alphabet[-1]
+    mdim = n_blocks * hi_c
     pw = [s**i for i in range(mdim + 1)]
-    # state: blocks left, digit offset consumed so far -> scaled min/max
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def bounds(left: int, off: int) -> tuple[int, int]:
-        if left == 0:
-            return 0, 0
-        key = (left, off)
-        if key in memo:
-            return memo[key]
-        best_lo = None
-        best_hi = None
-        for c in alphabet:
-            sub_lo, sub_hi = bounds(left - 1, off + c)
-            term = (c - u) * pw[mdim - off - c]
-            lo, hi = term + sub_lo, term + sub_hi
-            if best_lo is None or lo < best_lo:
-                best_lo = lo
-            if best_hi is None or hi > best_hi:
-                best_hi = hi
-        memo[key] = (best_lo, best_hi)
-        return memo[key]
-
-    lo_int, hi_int = bounds(n_blocks, 0)
+    # bounds[off]: scaled (min, max) over the blocks still to place once
+    # the digit offset off is consumed.  Built one layer at a time, from
+    # no blocks left up to n_blocks; with `done` blocks placed the offset
+    # lies in done * [lo_c, hi_c].
+    bounds = {off: (0, 0) for off in range(n_blocks * lo_c, mdim + 1)}
+    for done in reversed(range(n_blocks)):
+        layer = {}
+        for off in range(done * lo_c, done * hi_c + 1):
+            best_lo = best_hi = None
+            for c in alphabet:
+                sub_lo, sub_hi = bounds[off + c]
+                term = (c - u) * pw[mdim - off - c]
+                lo, hi = term + sub_lo, term + sub_hi
+                if best_lo is None or lo < best_lo:
+                    best_lo = lo
+                if best_hi is None or hi > best_hi:
+                    best_hi = hi
+            layer[off] = (best_lo, best_hi)
+        bounds = layer
+    lo_int, hi_int = bounds[0]
     prefix = element_value(BlockSequence(s, u, base, None))
     scale = Fraction(1, s ** sum(base))
     return (

@@ -25,9 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .combos import ComboAlphabet, Interval, enumerate_prefixes, tilde_alphabet
-from .cylinders import block_alphabet
 from .errors import InvalidBaseError, RangeError, ScaleMismatchError
-from .sadic import Rational, rational_json
+from .sadic import Rational, block_alphabet, rational_json
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,8 @@ def moran_solve(eq: MoranEquation, tol: float = 1e-12) -> DimensionResult:
     short-circuit: a single word gives alpha = 0, an interval-tiling
     alphabet gives alpha = 1.
     """
-    if not tol > 0:  # also rejects NaN
-        raise RangeError("tolerance must be positive")
+    if not 0 < tol < math.inf:  # also rejects NaN
+        raise RangeError("tolerance must be positive and finite")
     if eq.m == 1:
         return DimensionResult(0.0, abs(eq.value(0.0) - 1.0), (0.0, 0.0), "0")
     if eq.value_at_one() == 1:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combos import Interval, _extend, _hull, induced_alphabet
-from .cylinders import block_alphabet, set_extrema
+from .cylinders import set_extrema
 from .errors import RangeError, ResourceBudgetError, SadicError
-from .sadic import Rational, rational_json
+from .sadic import Rational, block_alphabet, rational_json
 
 DEFAULT_BIT_BUDGET = 1 << 20
 

@@ -18,7 +18,13 @@ from fractions import Fraction
 
 from .dimension import DimensionResult, MoranEquation, dim_S, moran_solve
 from .errors import RangeError, SadicError
-from .sadic import DigitString, Rational, _BlockScanner, rational_json
+from .sadic import (
+    DigitString,
+    Rational,
+    _split_blocks,
+    block_alphabet,
+    rational_json,
+)
 
 
 @dataclass(frozen=True)
@@ -175,26 +181,25 @@ class ResidualReport:
 def structural_identity_residual(d: DigitString, u: int, k: int) -> ResidualReport:
     """Check the marker-count identity over the first k digits.
 
-    The prefix is validated digit by digit as a marker-run stream (a
-    pattern violation raises with its offset).  The residual is computed
-    from raw digit counts, independently of the scanner's run state, so
-    the two agreeing is a real check rather than bookkeeping.
+    The prefix is validated as a marker-run stream (a pattern violation
+    raises with its offset).  The residual is computed from raw digit
+    counts, independently of the pending marker run the block split
+    leaves, so the two agreeing is a real check rather than bookkeeping.
     """
     if k < 1:
         raise RangeError("prefix length must be >= 1")
     s = d.base
-    scanner = _BlockScanner(s, u)
+    closers = block_alphabet(s, u)  # checks the marker before any digit
+    digits = d.digits(k)
+    _, run = _split_blocks(digits, s, u)
     counts = [0] * s
-    for dig in d.digits(k):
-        scanner.push(dig)
+    for dig in digits:
         counts[dig] += 1
-    residual = counts[u] - sum(
-        (c - 1) * counts[c] for c in range(1, s) if c != u
-    )
-    at_boundary = scanner.at_boundary
+    residual = counts[u] - sum((c - 1) * counts[c] for c in closers)
+    at_boundary = run == 0
     note = (
         "cut on a block boundary"
         if at_boundary
         else f"cut inside a block; residual is the pending run (<= {s - 2})"
     )
-    return ResidualReport(k, residual, at_boundary, scanner.run, note)
+    return ResidualReport(k, residual, at_boundary, run, note)

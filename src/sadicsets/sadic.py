@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     InsufficientDigitsError,
@@ -61,6 +62,15 @@ def _validate_marker(s: int, u: int) -> None:
         raise InvalidBaseError(f"s must be >= 3, got {s}")
     if not 0 <= u < s:
         raise InvalidBaseError(f"marker {u} out of range for base {s}")
+
+
+# Cached: the block split asks for it on every call, and building the
+# tuple would cost more than splitting a short stream.
+@lru_cache(maxsize=256)
+def block_alphabet(s: int, u: int) -> tuple[int, ...]:
+    """Block values available for (s, u): 1..s-1 with the marker removed."""
+    _validate_marker(s, u)
+    return tuple(c for c in range(1, s) if c != u)
 
 
 def _primitive(word: tuple) -> tuple:
@@ -304,55 +314,36 @@ def block_encode(b: BlockSequence) -> DigitString:
     return DigitString(b.base, pre, per)
 
 
-def _max_block(s: int, u: int) -> int:
-    # Largest usable block value: s-1 unless that is the marker itself.
-    return s - 2 if u == s - 1 else s - 1
+def _split_blocks(digits, s: int, u: int, run: int = 0, pos: int = 0):
+    """Blocks closed by ``digits`` and the marker run left pending.
 
-
-class _BlockScanner:
-    """Incremental digit scanner for the marker-run block pattern.
-
-    Feed digits with `push`; it returns the completed block value when
-    the digit closes a block and None otherwise, raising
-    `NotAMemberError` (with the 1-based position) as soon as no valid
-    continuation exists.
+    ``run`` markers are already pending before ``digits``, whose first
+    digit sits at 1-based offset ``pos + 1``.  Every digit other than
+    the marker closes a block, so a violation (marker run too long, a
+    wrong closing digit, a stray zero) raises `NotAMemberError` at the
+    offset of the digit where it shows.
     """
-
-    def __init__(self, s: int, u: int):
-        _validate_marker(s, u)
-        self.s = s
-        self.u = u
-        self.run = 0
-        self.pos = 0
-        self._max_run = _max_block(s, u) - 1
-
-    def push(self, digit: int) -> int | None:
-        self.pos += 1
-        s, u = self.s, self.u
-        if not 0 <= digit < s:
-            raise InvalidDigitError(f"digit {digit} out of range for base {s}")
+    max_run = block_alphabet(s, u)[-1] - 1
+    blocks: list[int] = []
+    for pos, digit in enumerate(digits, pos + 1):
         if digit == u:
-            self.run += 1
-            if self.run > self._max_run:
+            run += 1
+            if run > max_run:
                 raise NotAMemberError(
-                    self.pos,
-                    f"run of marker digit {u} exceeds {self._max_run}",
+                    pos, f"run of marker digit {u} exceeds {max_run}"
                 )
-            return None
+            continue
         if digit == 0:
-            raise NotAMemberError(self.pos, "digit 0 cannot close a block")
-        if digit != self.run + 1:
+            raise NotAMemberError(pos, "digit 0 cannot close a block")
+        if digit != run + 1:
             raise NotAMemberError(
-                self.pos,
-                f"block of {self.run} markers must close with {self.run + 1},"
+                pos,
+                f"block of {run} markers must close with {run + 1},"
                 f" found {digit}",
             )
-        self.run = 0
-        return digit
-
-    @property
-    def at_boundary(self) -> bool:
-        return self.run == 0
+        blocks.append(digit)
+        run = 0
+    return blocks, run
 
 
 def block_decode(d: DigitString, u: int) -> BlockSequence:
@@ -367,39 +358,27 @@ def block_decode(d: DigitString, u: int) -> BlockSequence:
     result encodes the identical stream.
     """
     s = d.base
-    scanner = _BlockScanner(s, u)
-    blocks: list[int] = []
-    for digit in d.preperiod:
-        if (c := scanner.push(digit)) is not None:
-            blocks.append(c)
-    if d.period is None:
-        if not scanner.at_boundary:
-            raise NotAMemberError(
-                scanner.pos, "stream ends inside an unfinished block"
-            )
+    npre = len(d.preperiod)
+    blocks, run = _split_blocks(d.preperiod, s, u)
+    per = d.period
+    if per is None:
+        if run:
+            raise NotAMemberError(npre, "stream ends inside an unfinished block")
         return BlockSequence(s, u, tuple(blocks), None)
 
-    npre = len(d.preperiod)
-    p = len(d.period)
-    phase_seen: dict[int, int] = {}
-    if scanner.at_boundary:
-        phase_seen[0] = len(blocks)
-    # Block boundaries inside the repeating region recur at a repeated
-    # phase after at most p+1 boundaries; the scanner errors out first
-    # on any stream with no boundaries at all.
-    while True:
-        for i, digit in enumerate(d.period):
-            c = scanner.push(digit)
-            if c is None:
-                continue
-            blocks.append(c)
-            phase = (i + 1) % p
-            if phase in phase_seen:
-                cut = phase_seen[phase]
-                return BlockSequence(
-                    s, u, tuple(blocks[:cut]), tuple(blocks[cut:])
-                )
-            phase_seen[phase] = len(blocks)
+    # Past the period's first closer the run restarts at 0 on every
+    # pass, so the block tail is the period rotated to start there.  When
+    # the preperiod ends a block and the period ends with a closer, the
+    # period is already block-aligned and needs no rotation.
+    j = next((i + 1 for i, digit in enumerate(per) if digit != u), None)
+    if j is None:
+        # No closer ever comes: max_block markers overflow any run.
+        _split_blocks(per * block_alphabet(s, u)[-1], s, u, run, npre)
+    if run == 0 and per[-1] != u:
+        j = 0
+    head, _ = _split_blocks(per[:j], s, u, run, npre)
+    tail, _ = _split_blocks(per[j:] + per[:j], s, u, 0, npre + j)
+    return BlockSequence(s, u, tuple(blocks + head), tuple(tail))
 
 
 def element_value(b: BlockSequence) -> Rational:

@@ -25,7 +25,7 @@ class TestParsing:
         assert config.fmt == "json"
 
     def test_rejects_bad_tol(self):
-        for tol in ("0", "nan"):
+        for tol in ("0", "nan", "inf"):
             args = build_parser().parse_args(
                 ["dim", "--s", "3", "--u", "0", "--tol", tol]
             )
@@ -77,9 +77,18 @@ class TestDim:
         assert main(["dim", "--alphabet", "/nonexistent/alpha.json"]) == 1
 
     def test_malformed_file_is_domain_error(self, tmp_path, capsys):
-        f = tmp_path / "alpha.json"
-        f.write_text("{not json")
-        for source in (str(f), "tilde:x"):
+        sources = ["tilde:x"]
+        for i, text in enumerate([
+            "{not json",
+            '{"s": 3, "combos": "021"}',
+            '{"s": 3.9, "combos": ["021", "102"]}',
+            '{"s": 3, "combos": [[0, 2, 1], [1.5, 0, 2]]}',
+            '{"s": 3, "combos": [[0, 2, 1], [true, 0, 2]]}',
+        ]):
+            f = tmp_path / f"alpha{i}.json"
+            f.write_text(text)
+            sources.append(str(f))
+        for source in sources:
             assert main(["dim", "--alphabet", source]) == 1
             assert main(["boxcount", "--alphabet", source]) == 1
 

@@ -261,3 +261,11 @@ class TestExtensionBounds:
         _, hi = set_extrema(4, 3)
         _, bhi = extension_value_bounds(4, 3, (), 1)
         assert bhi > hi
+
+    def test_deep_extension_needs_no_recursion(self):
+        # 1500 blocks over the single-block alphabet {2}: one DP layer per
+        # block, far deeper than the interpreter's recursion limit
+        lo, hi = set_extrema(3, 1)
+        blo, bhi = extension_value_bounds(3, 1, (), 1500)
+        assert abs(blo - lo) <= Fraction(1, 3**3000)
+        assert abs(bhi - hi) <= Fraction(1, 3**3000)

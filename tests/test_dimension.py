@@ -86,6 +86,8 @@ class TestMoranSolve:
             moran_solve(MoranEquation(3, {1: 1, 2: 1}), tol=0.0)
         with pytest.raises(RangeError):
             moran_solve(MoranEquation(3, {1: 1, 2: 1}), tol=float("nan"))
+        with pytest.raises(RangeError):
+            moran_solve(MoranEquation(3, {1: 1, 2: 1}), tol=float("inf"))
 
     def test_rejects_empty_counts(self):
         with pytest.raises(InvalidBaseError):

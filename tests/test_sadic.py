@@ -1,5 +1,8 @@
 """Digit strings, the run-length block codec, and exact evaluation."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from sadicsets import (
     InvalidDigitError,
     NotAMemberError,
     RangeError,
+    SadicError,
     block_alphabet,
     block_decode,
     block_encode,
@@ -37,6 +41,47 @@ def block_sequences(draw, with_tail=None):
             draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=3))
         )
     return BlockSequence(s, u, blocks, tail)
+
+
+# SHA-256 of the outcomes of the decode corpus below; a change to the
+# decoder must reproduce every block and every error message.
+DECODE_DIGEST = "dea70934e25200f09e179694b423e8db79b631d2f97ebb62901de58f00d17e07"
+
+
+def _decode_corpus(n: int, seed: int):
+    """Seeded near-member digit strings with the marker they are decoded
+    against: encoded block streams with a few digits mutated, split into
+    preperiod and period at random; some periods are all markers and
+    some markers lie outside 0..s-1."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        s = rng.randint(3, 8)
+        u = rng.randint(0, s - 1)
+        alphabet = block_alphabet(s, u)
+        digits = []
+        for _ in range(rng.randint(0, 8)):
+            c = rng.choice(alphabet)
+            digits.extend([u] * (c - 1) + [c])
+        for _ in range(rng.choice((0, 0, 0, 0, 1, 2))):
+            if digits:
+                digits[rng.randrange(len(digits))] = rng.randrange(s)
+        cut = rng.randint(0, len(digits))
+        pre, per = tuple(digits[:cut]), tuple(digits[cut:])
+        shape = rng.random()
+        if shape < 0.1:
+            per = (u,) * rng.randint(1, 4)
+        elif shape < 0.4 or not per:
+            per = None
+        if rng.random() < 0.02:
+            u = rng.choice((-1, s, s + 3))
+        yield DigitString(s, pre, per), u
+
+
+def _decode_outcome(d: DigitString, u: int) -> list:
+    try:
+        return block_decode(d, u).to_json()
+    except SadicError as exc:
+        return [type(exc).__name__, getattr(exc, "offset", None), str(exc)]
 
 
 class TestDigitString:
@@ -139,11 +184,27 @@ class TestBlockCodec:
         assert d.period == (1, 2)
 
     def test_decode_rejects_long_run(self):
-        # marker run of 2 cannot be closed by any block over base 3
-        d = DigitString(3, (0, 0, 1))
-        with pytest.raises(NotAMemberError) as exc:
-            block_decode(d, 0)
-        assert exc.value.offset == 2
+        cases = [
+            # marker run of 2 cannot be closed by any block over base 3
+            (DigitString(3, (0, 0, 1)), 2),
+            # markers that no period digit ever closes
+            (DigitString(4, (1,), (0,)), 4),
+            (DigitString(4, (0,), (0,)), 3),
+            # a run that spans the period's wrap-around
+            (DigitString(3, (1,), (0, 2, 0)), 5),
+        ]
+        for d, offset in cases:
+            with pytest.raises(NotAMemberError) as exc:
+                block_decode(d, 0)
+            assert exc.value.offset == offset
+
+    def test_decode_corpus_digest(self):
+        # Outcomes (blocks, or error class, offset and message) of 20000
+        # near-member strings, pinned so that any change to the decoder
+        # must reproduce every result and every error exactly.
+        outcomes = [_decode_outcome(d, u) for d, u in _decode_corpus(20000, 4)]
+        blob = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == DECODE_DIGEST
 
     def test_decode_rejects_wrong_closer(self):
         d = DigitString(4, (1, 1, 1, 2))
