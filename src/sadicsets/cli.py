@@ -44,17 +44,7 @@ from .sadic import (
     rational_json,
 )
 
-SUBCOMMANDS = (
-    "dim",
-    "cylinder",
-    "gaps",
-    "generate",
-    "boxcount",
-    "measure",
-    "freq",
-    "normal",
-    "reproduce",
-)
+_FORMATS = ("json", "csv", "table")
 
 
 @dataclass(frozen=True)
@@ -72,7 +62,7 @@ class RunConfig:
     depth: int = 12
     k: int | None = None
     n: int = 12
-    scales: tuple[int, ...] = ()
+    scales: tuple[int, ...] = tuple(range(4, 11))
     preperiod: tuple[int, ...] = ()
     period: tuple[int, ...] | None = None
     tol: float = 1e-12
@@ -82,17 +72,22 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
+        if self.subcommand not in _COMMANDS:
             raise SadicError(f"unknown subcommand {self.subcommand!r}")
         if not 0 < self.tol < math.inf:  # also rejects NaN
             raise SadicError("tolerance must be positive and finite")
         if self.depth < 1:
             raise SadicError("depth must be >= 1")
-        if self.fmt not in ("json", "csv", "table"):
+        if self.fmt not in _FORMATS:
             raise SadicError(f"unknown output format {self.fmt!r}")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # A flag that is not given stays out of the namespace, so the
+        # field defaults of RunConfig are the only defaults.
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
     # argparse exits 2 on usage errors by default; 2 is reserved for
     # resource refusals here, so usage problems become exit 1.
     def error(self, message):
@@ -100,29 +95,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split(","))
-
-
 def _parse_digits(text: str) -> tuple[int, ...]:
     # "021" for single-character digits, "0,2,1" for any base
-    text = text.strip()
-    if not text:
-        return ()
-    if "," in text:
-        return tuple(int(part) for part in text.split(","))
-    return tuple(int(ch) for ch in text)
+    stripped = text.strip()
+    parts = stripped.split(",") if "," in stripped else list(stripped)
+    try:
+        return tuple(int(part) for part in parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected digits like 021 or 0,2,1, got {text!r}"
+        ) from None
 
 
 def _parse_scales(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return _parse_int_list(text)
+    # "4..10" for a range, "4,6,8" for a list
+    stripped = text.strip()
+    try:
+        if not stripped:
+            return ()
+        if ".." in stripped:
+            lo, hi = stripped.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(part) for part in stripped.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected scales like 4..10 or 4,6,8, got {text!r}"
+        ) from None
 
 
 def _load_alphabet(source: str) -> ComboAlphabet:
@@ -153,42 +151,42 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     def common(p, fmt_default="json"):
-        p.add_argument("--format", default=fmt_default, choices=("json", "csv", "table"))
-        p.add_argument("--output", default=None, help="write here instead of stdout")
+        p.add_argument("--format", dest="fmt", default=fmt_default, choices=_FORMATS)
+        p.add_argument("--output", help="write here instead of stdout")
 
     p = sub.add_parser("dim", help="dimension-equation root")
     p.add_argument("--s", type=int)
     p.add_argument("--u", type=int)
     p.add_argument("--alphabet", help="JSON file, 'sprime3', or 'tilde:<s>'")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float)
     common(p)
 
     p = sub.add_parser("cylinder", help="exact hull of a block prefix")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--u", type=int, required=True)
-    p.add_argument("--base", default="", help="comma-separated blocks, e.g. 1,2")
+    p.add_argument("--base", type=_parse_digits, help="comma-separated blocks, e.g. 1,2")
     common(p)
 
     p = sub.add_parser("gaps", help="open gap between adjacent marker-0 children")
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--base", default="")
+    p.add_argument("--base", type=_parse_digits)
     p.add_argument("--p", type=int, required=True)
     common(p)
 
     p = sub.add_parser("generate", help="emit element digits from a block spec")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--u", type=int, required=True)
-    p.add_argument("--blocks", default="")
-    p.add_argument("--tail", default=None)
-    p.add_argument("--n", type=int, default=12, help="digits to emit")
+    p.add_argument("--blocks", type=_parse_digits)
+    p.add_argument("--tail", type=_parse_digits)
+    p.add_argument("--n", type=int, help="digits to emit")
     common(p)
 
     p = sub.add_parser("boxcount", help="box-counting slope of a set")
     p.add_argument("--s", type=int)
     p.add_argument("--u", type=int)
     p.add_argument("--alphabet")
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--scales", default="4..10", help="'4..10' or '4,6,8'")
+    p.add_argument("--depth", type=int)
+    p.add_argument("--scales", type=_parse_scales, help="'4..10' or '4,6,8'")
     common(p)
 
     p = sub.add_parser("measure", help="stage lengths of the covering recursion")
@@ -199,9 +197,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("freq", help="digit frequencies of a digit stream")
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--u", type=int, default=None)
-    p.add_argument("--preperiod", default="")
-    p.add_argument("--period", default=None)
+    p.add_argument("--u", type=int)
+    p.add_argument("--preperiod", type=_parse_digits)
+    p.add_argument("--period", type=_parse_digits)
     p.add_argument("--k", type=int, required=True)
     common(p)
 
@@ -210,48 +208,21 @@ def build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("reproduce", help="run the acceptance criteria")
-    p.add_argument("--only", default=None, help="substring filter on row names")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--only", help="substring filter on row names")
+    p.add_argument("--seed", type=int)
     common(p, fmt_default="table")
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    def get(name, default=None):
-        value = getattr(args, name, None)
-        return default if value is None else value
-
-    tail = getattr(args, "tail", None)
-    period = getattr(args, "period", None)
-    try:
-        return RunConfig(
-            subcommand=args.subcommand,
-            s=get("s"),
-            u=get("u"),
-            alphabet=get("alphabet"),
-            base=_parse_digits(get("base", "")),
-            blocks=_parse_digits(get("blocks", "")),
-            tail=_parse_digits(tail) if tail is not None else None,
-            p=get("p"),
-            depth=get("depth", 12),
-            k=get("k"),
-            n=get("n", 12),
-            scales=_parse_scales(get("scales", "")) if get("scales") else (),
-            preperiod=_parse_digits(get("preperiod", "")),
-            period=_parse_digits(period) if period is not None else None,
-            tol=get("tol", 1e-12),
-            fmt=get("format", "json"),
-            output=get("output"),
-            only=get("only"),
-            seed=get("seed", 0),
-        )
-    except ValueError as e:
-        raise SadicError(f"bad numeric argument: {e}") from e
+    """The flags given, as a RunConfig; the flags left out take its defaults."""
+    return RunConfig(**vars(args))
 
 
-def _payload(command: str, params: dict, body: dict) -> dict:
-    return {"version": __version__, "command": command, "params": params, **body}
+# Each handler returns the command's params and body, plus its CSV or
+# table text when the format asks for one instead of JSON.
+_Result = tuple[dict, dict, str | None]
 
 
 def _need_su(config: RunConfig) -> tuple[int, int]:
@@ -260,27 +231,52 @@ def _need_su(config: RunConfig) -> tuple[int, int]:
     return config.s, config.u
 
 
-def _dispatch_dim(config: RunConfig) -> dict:
+def _dim(config: RunConfig) -> _Result:
     if config.alphabet is not None:
         a = _load_alphabet(config.alphabet)
         r = dim_alphabet(a, config.tol)
-        return _payload(
-            "dim",
-            {"alphabet": config.alphabet, "tol": config.tol},
-            {
-                "s": a.s,
-                "m": a.m,
-                "length_counts": {str(k): v for k, v in a.length_counts.items()},
-                "prefix_free": a.is_prefix_free(),
-                **r.to_json(),
-            },
-        )
+        body = {
+            "s": a.s,
+            "m": a.m,
+            "length_counts": {str(k): v for k, v in a.length_counts.items()},
+            "prefix_free": a.is_prefix_free(),
+            **r.to_json(),
+        }
+        return {"alphabet": config.alphabet, "tol": config.tol}, body, None
     s, u = _need_su(config)
-    r = dim_S(s, u, config.tol)
-    return _payload("dim", {"s": s, "u": u, "tol": config.tol}, r.to_json())
+    return {"s": s, "u": u, "tol": config.tol}, dim_S(s, u, config.tol).to_json(), None
 
 
-def _dispatch_boxcount(config: RunConfig) -> tuple[dict, list[str]]:
+def _cylinder(config: RunConfig) -> _Result:
+    s, u = _need_su(config)
+    params = {"s": s, "u": u, "base": list(config.base)}
+    return params, cylinder(s, u, config.base).to_json(), None
+
+
+def _gaps(config: RunConfig) -> _Result:
+    if config.s is None or config.p is None:
+        raise SadicError("gaps needs --s and --p")
+    gap = gap_interval(config.s, config.base, config.p)
+    return {"s": config.s, "base": list(config.base), "p": config.p}, gap.to_json(), None
+
+
+def _generate(config: RunConfig) -> _Result:
+    s, u = _need_su(config)
+    d = block_encode(BlockSequence(s, u, config.blocks, config.tail))
+    n = config.n if d.period is not None else min(config.n, len(d.preperiod))
+    params = {"s": s, "u": u, "blocks": list(config.blocks),
+              "tail": list(config.tail) if config.tail is not None else None,
+              "n": config.n}
+    body = {
+        "digits": list(d.digits(n)),
+        "digit_string": d.to_json(),
+        "value": rational_json(digits_to_rational(d)),
+        "is_member_value": d.period is not None,
+    }
+    return params, body, None
+
+
+def _boxcount(config: RunConfig) -> _Result:
     if config.alphabet is not None:
         a = _load_alphabet(config.alphabet)
         params = {"alphabet": config.alphabet}
@@ -290,138 +286,94 @@ def _dispatch_boxcount(config: RunConfig) -> tuple[dict, list[str]]:
         params = {"s": s, "u": u}
     params.update({"depth": config.depth, "scales": list(config.scales)})
     r = box_count_for_alphabet(a, config.depth, list(config.scales))
-    alpha = dim_alphabet(a).alpha
-    body = _payload("boxcount", params, {"alpha_equation": alpha, **r.to_json()})
+    body = {"alpha_equation": dim_alphabet(a).alpha, **r.to_json()}
+    if config.fmt != "csv":
+        return params, body, None
     csv = ["eps_num,eps_den,eps_approx,boxes"]
     for eps, nbox in r.counts:
         csv.append(f"{eps.numerator},{eps.denominator},{float(eps)!r},{nbox}")
     csv.append(f"# slope,{r.slope!r}")
-    return body, csv
+    return params, body, "\n".join(csv)
+
+
+def _measure(config: RunConfig) -> _Result:
+    s, u = _need_su(config)
+    if config.k is None or config.k < 1:
+        raise SadicError("measure needs --k >= 1")
+    stages = [cover_stage(s, u, k) for k in range(1, config.k + 1)]
+    params = {"s": s, "u": u, "k": config.k}
+    body = {
+        "stages": [
+            {
+                "k": st.k,
+                "count": len(st.intervals),
+                "total_length": rational_json(st.total_length),
+            }
+            for st in stages
+        ]
+    }
+    if config.fmt != "csv":
+        return params, body, None
+    csv = ["k,num,den,approx"]
+    for st in stages:
+        t = st.total_length
+        csv.append(f"{st.k},{t.numerator},{t.denominator},{float(t)!r}")
+    return params, body, "\n".join(csv)
+
+
+def _freq(config: RunConfig) -> _Result:
+    if config.s is None or config.k is None:
+        raise SadicError("freq needs --s and --k")
+    d = DigitString(config.s, config.preperiod, config.period)
+    body = {"profile": digit_frequencies(d, config.k).to_json()}
+    if config.u is not None:
+        body["residual"] = structural_identity_residual(d, config.u, config.k).to_json()
+    params = {"s": config.s, "u": config.u, "k": config.k,
+              "preperiod": list(config.preperiod),
+              "period": list(config.period) if config.period else None}
+    return params, body, None
+
+
+def _normal(config: RunConfig) -> _Result:
+    if config.s is None:
+        raise SadicError("normal needs --s")
+    return {"s": config.s}, normal_candidate_exists(config.s).to_json(), None
+
+
+def _reproduce(config: RunConfig) -> _Result:
+    results = run_all(only=config.only, seed=config.seed)
+    if not results:
+        raise SadicError(f"no acceptance row matches {config.only!r}")
+    body = {
+        "results": [r.to_json() for r in results],
+        "passed": all(r.passed for r in results),
+    }
+    table = None if config.fmt == "json" else format_table(results)
+    return {"only": config.only, "seed": config.seed}, body, table
+
+
+_COMMANDS = {
+    "dim": _dim,
+    "cylinder": _cylinder,
+    "gaps": _gaps,
+    "generate": _generate,
+    "boxcount": _boxcount,
+    "measure": _measure,
+    "freq": _freq,
+    "normal": _normal,
+    "reproduce": _reproduce,
+}
 
 
 def dispatch(config: RunConfig) -> tuple[int, str]:
     """Run one validated invocation; returns (exit code, document)."""
-    cmd = config.subcommand
-    if cmd == "dim":
-        return 0, _to_json(_dispatch_dim(config))
-
-    if cmd == "cylinder":
-        s, u = _need_su(config)
-        cyl = cylinder(s, u, config.base)
-        return 0, _to_json(_payload("cylinder", {"s": s, "u": u, "base": list(config.base)}, cyl.to_json()))
-
-    if cmd == "gaps":
-        if config.s is None or config.p is None:
-            raise SadicError("gaps needs --s and --p")
-        gap = gap_interval(config.s, config.base, config.p)
-        return 0, _to_json(
-            _payload(
-                "gaps",
-                {"s": config.s, "base": list(config.base), "p": config.p},
-                gap.to_json(),
-            )
-        )
-
-    if cmd == "generate":
-        s, u = _need_su(config)
-        b = BlockSequence(s, u, config.blocks, config.tail)
-        d = block_encode(b)
-        n = config.n if d.period is not None else min(config.n, len(d.preperiod))
-        return 0, _to_json(
-            _payload(
-                "generate",
-                {"s": s, "u": u, "blocks": list(config.blocks),
-                 "tail": list(config.tail) if config.tail is not None else None,
-                 "n": config.n},
-                {
-                    "digits": list(d.digits(n)),
-                    "digit_string": d.to_json(),
-                    "value": rational_json(digits_to_rational(d)),
-                    "is_member_value": d.period is not None,
-                },
-            )
-        )
-
-    if cmd == "boxcount":
-        body, csv = _dispatch_boxcount(config)
-        if config.fmt == "csv":
-            return 0, "\n".join(csv)
-        return 0, _to_json(body)
-
-    if cmd == "measure":
-        s, u = _need_su(config)
-        if config.k is None or config.k < 1:
-            raise SadicError("measure needs --k >= 1")
-        stages = [cover_stage(s, u, k) for k in range(1, config.k + 1)]
-        if config.fmt == "csv":
-            rows = ["k,num,den,approx"]
-            for st in stages:
-                t = st.total_length
-                rows.append(f"{st.k},{t.numerator},{t.denominator},{float(t)!r}")
-            return 0, "\n".join(rows)
-        return 0, _to_json(
-            _payload(
-                "measure",
-                {"s": s, "u": u, "k": config.k},
-                {
-                    "stages": [
-                        {
-                            "k": st.k,
-                            "count": len(st.intervals),
-                            "total_length": rational_json(st.total_length),
-                        }
-                        for st in stages
-                    ]
-                },
-            )
-        )
-
-    if cmd == "freq":
-        if config.s is None or config.k is None:
-            raise SadicError("freq needs --s and --k")
-        d = DigitString(config.s, config.preperiod, config.period)
-        prof = digit_frequencies(d, config.k)
-        body = {"profile": prof.to_json()}
-        if config.u is not None:
-            body["residual"] = structural_identity_residual(
-                d, config.u, config.k
-            ).to_json()
-        return 0, _to_json(
-            _payload(
-                "freq",
-                {"s": config.s, "u": config.u, "k": config.k,
-                 "preperiod": list(config.preperiod),
-                 "period": list(config.period) if config.period else None},
-                body,
-            )
-        )
-
-    if cmd == "normal":
-        if config.s is None:
-            raise SadicError("normal needs --s")
-        v = normal_candidate_exists(config.s)
-        return 0, _to_json(_payload("normal", {"s": config.s}, v.to_json()))
-
-    if cmd == "reproduce":
-        results = run_all(only=config.only, seed=config.seed)
-        if not results:
-            raise SadicError(f"no acceptance row matches {config.only!r}")
-        code = 0 if all(r.passed for r in results) else 1
-        if config.fmt == "json":
-            doc = _payload(
-                "reproduce",
-                {"only": config.only, "seed": config.seed},
-                {"results": [r.to_json() for r in results],
-                 "passed": all(r.passed for r in results)},
-            )
-            return code, _to_json(doc)
-        return code, format_table(results)
-
-    raise SadicError(f"unknown subcommand {cmd!r}")
-
-
-def _to_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+    params, body, text = _COMMANDS[config.subcommand](config)
+    # A failed acceptance row exits 1.
+    code = 1 if config.subcommand == "reproduce" and not body["passed"] else 0
+    if text is None:
+        doc = {"version": __version__, "command": config.subcommand, "params": params, **body}
+        text = json.dumps(doc, sort_keys=True, indent=2)
+    return code, text
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -46,7 +46,7 @@ _ORDER_DECREASING = "decreasing"
 def _validate_base(s: int, u: int, base: tuple[int, ...]) -> None:
     _validate_marker(s, u)
     for c in base:
-        if not isinstance(c, int) or not 1 <= c < s:
+        if type(c) is not int or not 1 <= c < s:
             raise InvalidBaseError(f"base entry {c!r} out of range 1..{s - 1}")
         if c == u:
             raise InvalidBaseError(f"base entry {c} equals the marker digit")

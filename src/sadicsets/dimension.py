@@ -38,12 +38,14 @@ class MoranEquation:
     counts: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if type(self.s) is not int:
+            raise InvalidBaseError(f"base must be an int, got {self.s!r}")
         if self.s < 2:
             raise InvalidBaseError(f"base must be >= 2, got {self.s}")
         items = dict(self.counts) if not isinstance(self.counts, dict) else self.counts
         norm = []
         for k, n in sorted(items.items()):
-            if not (isinstance(k, int) and isinstance(n, int)) or k < 1 or n < 0:
+            if type(k) is not int or type(n) is not int or k < 1 or n < 0:
                 raise InvalidBaseError(f"bad count entry {k!r}: {n!r}")
             if n:
                 norm.append((k, n))
@@ -234,6 +236,9 @@ def box_count_for_alphabet(
 ) -> BoxCountResult:
     """Box-count the alphabet's set from its depth-`depth` prefix hulls
     at scales s**-j for the given exponents j."""
+    for j in scale_exponents:
+        if type(j) is not int or j < 0:
+            raise ScaleMismatchError(f"scale exponent {j!r} must be an int >= 0")
     hulls = [h for h, _ in enumerate_prefixes(a, depth)]
     scales = [Fraction(1, a.s**j) for j in scale_exponents]
     return box_count_estimate(hulls, scales)

@@ -185,16 +185,27 @@ def structural_identity_residual(d: DigitString, u: int, k: int) -> ResidualRepo
     raises with its offset).  The residual is computed from raw digit
     counts, independently of the pending marker run the block split
     leaves, so the two agreeing is a real check rather than bookkeeping.
+    A periodic stream is split only up to a bound set by its period, so
+    the cost does not grow with k.
     """
     if k < 1:
         raise RangeError("prefix length must be >= 1")
     s = d.base
     closers = block_alphabet(s, u)  # checks the marker before any digit
-    digits = d.digits(k)
-    _, run = _split_blocks(digits, s, u)
-    counts = [0] * s
-    for dig in digits:
-        counts[dig] += 1
+    cut = k
+    if d.period is not None:
+        npre, p = len(d.preperiod), len(d.period)
+        horizon = npre + max(2, closers[-1]) * p
+        if k > horizon:
+            # From its second pass on, the period starts from the same
+            # pending run (the markers after its last closer) and so splits
+            # alike; an all-marker period overflows within max_block passes.
+            # So the horizon holds the first violation, and the run at k is
+            # the run at the same phase of the second pass.
+            _split_blocks(d.digits(horizon), s, u)
+            cut = npre + p + (k - npre - 1) % p + 1
+    _, run = _split_blocks(d.digits(cut), s, u)
+    counts = digit_frequencies(d, k).counts
     residual = counts[u] - sum((c - 1) * counts[c] for c in closers)
     at_boundary = run == 0
     note = (

@@ -57,7 +57,10 @@ def _digits_int(digits, s: int) -> int:
 
 
 def _validate_marker(s: int, u: int) -> None:
-    """Reject a marker-run parameter pair unless s >= 3 and 0 <= u < s."""
+    """Reject a marker-run parameter pair unless both are ints (a bool
+    is not one), s >= 3 and 0 <= u < s."""
+    if type(s) is not int or type(u) is not int:
+        raise InvalidBaseError(f"s and u must be ints, got {s!r} and {u!r}")
     if s < 3:
         raise InvalidBaseError(f"s must be >= 3, got {s}")
     if not 0 <= u < s:
@@ -65,8 +68,9 @@ def _validate_marker(s: int, u: int) -> None:
 
 
 # Cached: the block split asks for it on every call, and building the
-# tuple would cost more than splitting a short stream.
-@lru_cache(maxsize=256)
+# tuple would cost more than splitting a short stream.  Typed, so that
+# 3.0 or True never hits the entry cached for 3 or 1.
+@lru_cache(maxsize=256, typed=True)
 def block_alphabet(s: int, u: int) -> tuple[int, ...]:
     """Block values available for (s, u): 1..s-1 with the marker removed."""
     _validate_marker(s, u)
@@ -99,12 +103,14 @@ class DigitString:
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
         if self.period is not None:
             object.__setattr__(self, "period", tuple(self.period))
+        if type(self.base) is not int:
+            raise InvalidDigitError(f"base must be an int, got {self.base!r}")
         if self.base < 2:
             raise InvalidDigitError(f"base must be >= 2, got {self.base}")
         if self.period is not None and not self.period:
             raise InvalidDigitError("period, when given, must be nonempty")
         for d in self.preperiod + (self.period or ()):
-            if not isinstance(d, int) or not 0 <= d < self.base:
+            if type(d) is not int or not 0 <= d < self.base:
                 raise InvalidDigitError(
                     f"digit {d!r} out of range for base {self.base}"
                 )
@@ -188,12 +194,7 @@ class DigitString:
 
     @staticmethod
     def from_json(obj: dict) -> DigitString:
-        period = obj.get("period")
-        return DigitString(
-            int(obj["s"]),
-            tuple(int(d) for d in obj["preperiod"]),
-            tuple(int(d) for d in period) if period is not None else None,
-        )
+        return DigitString(obj["s"], obj["preperiod"], obj.get("period"))
 
     def __str__(self) -> str:
         body = "".join(str(d) for d in self.preperiod)
@@ -223,7 +224,7 @@ class BlockSequence:
         if self.tail is not None and not self.tail:
             raise InvalidBlockError("tail, when given, must be nonempty")
         for c in self.blocks + (self.tail or ()):
-            if not isinstance(c, int) or not 1 <= c < self.base:
+            if type(c) is not int or not 1 <= c < self.base:
                 raise InvalidBlockError(
                     f"block {c!r} out of range 1..{self.base - 1}"
                 )

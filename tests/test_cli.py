@@ -1,13 +1,18 @@
 """Command-line surface: parsing, payload shapes, exit codes, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sadicsets.cli import RunConfig, build_parser, config_from_args, dispatch, main
+from sadicsets.cli import _COMMANDS, RunConfig, build_parser, config_from_args, dispatch, main
 from sadicsets.errors import SadicError
 
 
@@ -38,6 +43,13 @@ class TestParsing:
                 ["cylinder", "--s", "3", "--u", "0", "--base", form]
             )
             assert config_from_args(args).base == (1, 2)
+
+    def test_one_table_drives_parser_and_config(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(_COMMANDS)
+        with pytest.raises(SadicError):
+            RunConfig(subcommand="frobnicate")
 
     def test_config_is_frozen(self):
         config = RunConfig(subcommand="normal", s=3)
@@ -202,6 +214,12 @@ class TestHarness:
 
     def test_bad_flag_exits_one(self, capsys):
         assert main(["dim", "--nonsense"]) == 1
+        assert main(["cylinder", "--s", "3", "--u", "0", "--base", "x"]) == 1
+        assert main(["boxcount", "--s", "3", "--u", "0", "--scales", "4..x"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --base: expected digits" in err
+        assert "argument --scales: expected scales" in err
+        assert "_parse_" not in err
 
     def test_bad_subcommand_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -229,3 +247,76 @@ class TestHarness:
             check=True,
         )
         assert json.loads(proc.stdout)["alpha"] == 0.0
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+_INT = st.integers(-3, 8).map(str)
+_BASE = st.integers(3, 8).map(str) | _INT  # a valid s reaches the library more often
+_DIGITS = st.sampled_from(["", ",", "x", "1.5", "-1", "1,,2"]) | st.text("0123456789,", max_size=6)
+_SCALES = (
+    st.builds("{}..{}".format, st.integers(-3, 8), st.integers(-3, 8))
+    | st.lists(st.integers(-3, 8), max_size=5).map(lambda js: ",".join(map(str, js)))
+    | st.sampled_from(["x", "4..x", "1.5", ".."])
+)
+_ALPHABET = (
+    st.sampled_from(["sprime3", "tilde:x", "tilde:", "/nonexistent.json"])
+    | _INT.map("tilde:{}".format)
+)
+_TOL = st.sampled_from(["1e-12", "1e-3", "0", "-1", "nan", "inf", "x"])
+_FLAGS = {
+    "dim": {"--s": _BASE, "--u": _INT, "--alphabet": _ALPHABET, "--tol": _TOL},
+    "cylinder": {"--s": _BASE, "--u": _INT, "--base": _DIGITS},
+    "gaps": {"--s": _BASE, "--base": _DIGITS, "--p": _INT},
+    "generate": {"--s": _BASE, "--u": _INT, "--blocks": _DIGITS, "--tail": _DIGITS, "--n": _INT},
+    "boxcount": {
+        "--s": _BASE, "--u": _INT, "--alphabet": _ALPHABET, "--depth": _INT, "--scales": _SCALES
+    },
+    "measure": {"--s": _BASE, "--u": _INT, "--k": _INT},
+    "freq": {"--s": _BASE, "--u": _INT, "--preperiod": _DIGITS, "--period": _DIGITS, "--k": _INT},
+    "normal": {"--s": _BASE},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.integers(0, 3)):  # most flags are given
+            argv.append(f"{flag}={draw(values)}")
+    if draw(st.booleans()):
+        argv.append(f"--format={draw(st.sampled_from(['json', 'csv', 'table', 'xml']))}")
+    return argv
+
+
+_JSON_VALUE = st.sampled_from(
+    [3, 5, 2, -1, 3.9, 1.5, True, None, "3", "021", [], [[]], [0, 2, 1], ["021", "102"],
+     [[0, 2, 1], [1.5, 0, 2]], [[True, 0]], [[0, 3]], [["0"]], [[-1]], {"a": 1}]
+)
+
+
+class TestFuzz:
+    """No argv and no alphabet file makes `main` raise: it returns 0, 1 or 2."""
+
+    @given(_argv())
+    @example(["boxcount", "--s=3", "--u=0", "--scales=-3..5"])  # a bare TypeError once
+    @settings(deadline=None, max_examples=400)
+    def test_argv(self, argv):
+        assert _quiet_main(argv) in (0, 1, 2), argv
+
+    @given(
+        st.sampled_from([("dim",), ("boxcount", "--depth=6")]),
+        st.one_of(
+            st.fixed_dictionaries({}, optional={"s": _JSON_VALUE, "combos": _JSON_VALUE}),
+            _JSON_VALUE,
+        ),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_alphabet_file(self, tmp_path_factory, command, doc):
+        f = tmp_path_factory.mktemp("alphabet") / "alpha.json"
+        f.write_text(json.dumps(doc))
+        assert _quiet_main([*command, f"--alphabet={f}"]) in (0, 1, 2), doc

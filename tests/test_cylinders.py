@@ -1,12 +1,14 @@
 """Cylinder hulls, sibling ordering, gaps, and point location."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sadicsets import (
+    BlockSequence,
     InvalidBaseError,
     NotAMemberError,
     RangeError,
@@ -16,6 +18,7 @@ from sadicsets import (
     cylinder_diameter,
     cylinder_endpoints,
     cylinder_order,
+    element_value,
     extension_value_bounds,
     gap_interval,
     point_locate,
@@ -61,6 +64,11 @@ class TestSetExtrema:
             set_extrema(2, 0)
         with pytest.raises(InvalidBaseError):
             set_extrema(3, 3)
+        for s, u in ((3.0, 0), (3, 0.5), (True, 0)):
+            with pytest.raises(InvalidBaseError):
+                set_extrema(s, u)
+        with pytest.raises(InvalidBaseError):
+            cylinder(3.5, 0, ())
 
 
 class TestCylinder:
@@ -251,6 +259,23 @@ class TestExtensionBounds:
         alphabet = block_alphabet(3, 0)
         vals = [Fraction(c, 3**c) for c in alphabet]
         assert extension_value_bounds(3, 0, (), 1) == (min(vals), max(vals))
+
+    def test_matches_enumeration(self):
+        # every (s, u) with s <= 6, gapped alphabets such as {1, 3} for
+        # (4, 2) included, against every extension of up to 4 blocks
+        for s in range(3, 7):
+            for u in range(s):
+                alphabet = block_alphabet(s, u)
+                for base in ((), alphabet[-1:]):
+                    for n in range(1, 5):
+                        values = [
+                            element_value(BlockSequence(s, u, base + ext))
+                            for ext in product(alphabet, repeat=n)
+                        ]
+                        assert extension_value_bounds(s, u, base, n) == (
+                            min(values),
+                            max(values),
+                        ), (s, u, base, n)
 
     def test_rejects_zero_depth(self):
         with pytest.raises(InvalidBaseError):

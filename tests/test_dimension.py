@@ -130,6 +130,14 @@ class TestMoranEquation:
         eq = MoranEquation(4, {1: 4})
         assert eq.value_at_one() == Fraction(1)
 
+    def test_rejects_non_int_values(self):
+        cases = ((2.5, {1: 1}), (3, {True: 1}), (3, {1: 1.0}), (3, {1: False, 2: 1}))
+        for s, counts in cases:
+            with pytest.raises(InvalidBaseError):
+                MoranEquation(s, counts)
+        with pytest.raises(InvalidBaseError):
+            dim_S(3.5, 0)
+
     def test_zero_counts_dropped(self):
         assert MoranEquation(3, {1: 1, 2: 0}).counts == ((1, 1),)
 
@@ -172,6 +180,11 @@ class TestBoxCounting:
         # hull wider than the finest scale cannot be box-counted honestly
         with pytest.raises(ScaleMismatchError):
             box_count_estimate([(Fraction(0), Fraction(1))], self._grid(2, 5))
+
+    def test_rejects_bad_scale_exponent(self):
+        for exponents in ([-3, 4, 5, 6], [4, 5, 6, 1.5], [4, 5, True]):
+            with pytest.raises(ScaleMismatchError):
+                box_count_for_alphabet(induced_alphabet(3, 0), 8, exponents)
 
     def test_counts_are_coarse_to_fine(self):
         r = box_count_for_alphabet(induced_alphabet(3, 0), 12, range(4, 11))

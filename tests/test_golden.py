@@ -3,8 +3,9 @@ fixed corpus of invocations, one per subcommand form and output format.
 
 Any change to the exact rationals, digits, counts or float renderings a
 command prints changes its hash.  The hashes were recorded before the
-hull arithmetic was unified onto one integer kernel; a refactor must
-keep every one of them.
+hull arithmetic was unified onto one integer kernel (the format corners
+before the subcommands became one command table); a refactor must keep
+every one of them.
 """
 
 import hashlib
@@ -42,6 +43,13 @@ GOLDEN = [
     (("freq", "--s", "5", "--period", "1,2,2,3,2,2,2,4", "--k", "77", "--u", "2"), "1e401559c30d94f7336fd0914e10ba96ff0ca3e32226dac1e0622b89a223dcd6"),
     (("normal", "--s", "3"), "b414e026d0a4bb9470e7cb389756016958db65a1a0338b04664db5ed83eceb98"),
     (("normal", "--s", "7"), "0bd8d5e8913be18a58abe4d5021a797f1182700ffe207a6fc0a6762664c3f8b1"),
+    # Format corners: measure and boxcount print CSV only for --format csv,
+    # dim prints JSON whatever --format says, and reproduce prints JSON for
+    # --format json (its table carries runtimes, so it is not hashed).
+    (("measure", "--s", "3", "--u", "0", "--k", "2", "--format", "table"), "adb70d65ea83a009ec62db056fb63cf3dc68f366f94527b9ff90e44850b9dabc"),
+    (("boxcount", "--s", "3", "--u", "0", "--format", "table"), "d12a860bd905615174419d3707d20918f9e4167c362b4cd139b50f0b254804eb"),
+    (("dim", "--s", "3", "--u", "0", "--format", "csv"), "764dfd148ee2d0a449133a5cbee4c2fb34142de960fc2c8c863f7cf82037887a"),
+    (("reproduce", "--only", "closed-form", "--format", "json"), "df202046f631e70f6230b273878434c9ce5a8cc2aaf37a95dba4af23e356ad92"),
 ]
 
 

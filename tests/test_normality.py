@@ -12,6 +12,7 @@ from sadicsets import (
     DigitString,
     NotAMemberError,
     RangeError,
+    SadicError,
     block_alphabet,
     block_encode,
     digit_frequencies,
@@ -21,6 +22,47 @@ from sadicsets import (
     structural_zero_frequency,
     uniform_stream_zero_frequency,
 )
+from sadicsets.normality import ResidualReport
+from sadicsets.sadic import _block_words, _split_blocks
+
+
+def _residual_reference(d, u, k):
+    # structural_identity_residual as it was before its split was bounded:
+    # split and count all k digits.  The oracle of the bounded version.
+    if k < 1:
+        raise RangeError("prefix length must be >= 1")
+    s = d.base
+    closers = block_alphabet(s, u)  # checks the marker before any digit
+    digits = d.digits(k)
+    _, run = _split_blocks(digits, s, u)
+    counts = [0] * s
+    for dig in digits:
+        counts[dig] += 1
+    residual = counts[u] - sum((c - 1) * counts[c] for c in closers)
+    at_boundary = run == 0
+    note = (
+        "cut on a block boundary"
+        if at_boundary
+        else f"cut inside a block; residual is the pending run (<= {s - 2})"
+    )
+    return ResidualReport(k, residual, at_boundary, run, note)
+
+
+def _outcome(fn, d, u, k):
+    try:
+        return fn(d, u, k)
+    except SadicError as e:
+        return type(e).__name__, getattr(e, "offset", None), str(e)
+
+
+def _near_member_word(rng, s, u, n_blocks):
+    # the digits of n_blocks random blocks, one digit sometimes replaced
+    if not 0 <= u < s:
+        return tuple(rng.randrange(s) for _ in range(n_blocks))
+    word = list(_block_words(rng.choices(block_alphabet(s, u), k=n_blocks), u))
+    if word and rng.random() < 0.3:
+        word[rng.randrange(len(word))] = rng.randrange(s)
+    return tuple(word)
 
 
 class TestForcedFrequencies:
@@ -127,6 +169,41 @@ class TestBalanceIdentity:
             rep = structural_identity_residual(d, u, cut)
             assert rep.at_boundary
             assert rep.residual == 0
+
+
+    def test_bounded_split_matches_full_split(self):
+        # Seeded near-member streams: finite and periodic, all-marker
+        # periods, out-of-range markers, and cuts before, inside and far
+        # past the split bound.  Same report, or same class, offset and
+        # message.
+        rng = random.Random(20240)
+        for _ in range(30_000):
+            s = rng.randint(3, 8)
+            u = rng.randint(0, s - 1) if rng.random() < 0.95 else rng.choice((-1, s))
+            pre = _near_member_word(rng, s, u, rng.randint(0, 4))
+            if rng.random() < 0.25:
+                per = None
+                k = rng.randint(1, len(pre) + 2)
+            else:
+                if rng.random() < 0.15:
+                    per = (u % s,) * rng.randint(1, 3)
+                else:
+                    per = _near_member_word(rng, s, u, rng.randint(1, 3)) or (1,)
+                k = rng.randint(1, len(pre) + 9 * len(per) + 20)
+            d = DigitString(s, pre, per)
+            assert _outcome(structural_identity_residual, d, u, k) == _outcome(
+                _residual_reference, d, u, k
+            ), (d, u, k)
+
+    def test_huge_prefix(self):
+        # 10**9 digits would take gigabytes to build; the split is bounded
+        d = DigitString(3, (0, 2), (0, 2, 1))
+        rep = structural_identity_residual(d, 0, 10**9 + 2)
+        assert (rep.k, rep.residual, rep.pending_run) == (10**9 + 2, 1, 1)
+        d = DigitString(5, (), (1, 2, 2, 2, 4))
+        assert structural_identity_residual(d, 2, 10**9).at_boundary
+        rep = structural_identity_residual(d, 2, 10**9 + 3)
+        assert (rep.residual, rep.pending_run, rep.at_boundary) == (2, 2, False)
 
 
 class TestDimensionBounds:

@@ -13,6 +13,7 @@ from sadicsets import (
     BlockSequence,
     DigitString,
     InsufficientDigitsError,
+    InvalidBaseError,
     InvalidBlockError,
     InvalidDigitError,
     NotAMemberError,
@@ -98,6 +99,25 @@ class TestDigitString:
         with pytest.raises(InvalidDigitError):
             DigitString(3, (0, 3))
 
+    def test_rejects_non_int_values(self):
+        # bools and floats are refused, not truncated
+        for base, pre, per in (
+            (3, (True,), None),
+            (3, (1.5,), None),
+            (3, (), (2.0,)),
+            (3.0, (1,), None),
+        ):
+            with pytest.raises(InvalidDigitError):
+                DigitString(base, pre, per)
+        for obj in (
+            {"s": 3.9, "preperiod": [1.5, True], "period": None},
+            {"s": 3, "preperiod": [1, True], "period": None},
+            {"s": 3, "preperiod": [1], "period": [2.0]},
+            {"s": "3", "preperiod": [1], "period": None},
+        ):
+            with pytest.raises(InvalidDigitError):
+                DigitString.from_json(obj)
+
     def test_digits_prefix(self):
         d = DigitString(3, (0, 2), (1, 0))
         assert d.digits(6) == (0, 2, 1, 0, 1, 0)
@@ -174,6 +194,17 @@ class TestBlockCodec:
             BlockSequence(3, 0, (0,))
         with pytest.raises(InvalidBlockError):
             BlockSequence(4, 2, (2,))
+        with pytest.raises(InvalidBlockError):
+            BlockSequence(3, 0, (True,))
+
+    def test_marker_params_must_be_ints(self):
+        block_alphabet(3, 0)
+        block_alphabet(3, 1)  # cached entries 3.0 or True must not hit
+        for s, u in ((3.0, 0), (3, 0.5), (True, 0), (3, True)):
+            with pytest.raises(InvalidBaseError):
+                block_alphabet(s, u)
+            with pytest.raises(InvalidBaseError):
+                BlockSequence(s, u, (2,))
 
     def test_encode_words(self):
         # block c becomes marker repeated c-1 times, then digit c
