@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,7 +64,6 @@ class RunConfig:
     scales: tuple[int, ...] = tuple(range(4, 11))
     preperiod: tuple[int, ...] = ()
     period: tuple[int, ...] | None = None
-    tol: float = 1e-12
     fmt: str = "json"
     output: str | None = None
     only: str | None = None
@@ -74,8 +72,6 @@ class RunConfig:
     def __post_init__(self):
         if self.subcommand not in _COMMANDS:
             raise SadicError(f"unknown subcommand {self.subcommand!r}")
-        if not 0 < self.tol < math.inf:  # also rejects NaN
-            raise SadicError("tolerance must be positive and finite")
         if self.depth < 1:
             raise SadicError("depth must be >= 1")
         if self.fmt not in _FORMATS:
@@ -158,7 +154,6 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int)
     p.add_argument("--u", type=int)
     p.add_argument("--alphabet", help="JSON file, 'sprime3', or 'tilde:<s>'")
-    p.add_argument("--tol", type=float)
     common(p)
 
     p = sub.add_parser("cylinder", help="exact hull of a block prefix")
@@ -234,7 +229,7 @@ def _need_su(config: RunConfig) -> tuple[int, int]:
 def _dim(config: RunConfig) -> _Result:
     if config.alphabet is not None:
         a = _load_alphabet(config.alphabet)
-        r = dim_alphabet(a, config.tol)
+        r = dim_alphabet(a)
         body = {
             "s": a.s,
             "m": a.m,
@@ -242,9 +237,9 @@ def _dim(config: RunConfig) -> _Result:
             "prefix_free": a.is_prefix_free(),
             **r.to_json(),
         }
-        return {"alphabet": config.alphabet, "tol": config.tol}, body, None
+        return {"alphabet": config.alphabet}, body, None
     s, u = _need_su(config)
-    return {"s": s, "u": u, "tol": config.tol}, dim_S(s, u, config.tol).to_json(), None
+    return {"s": s, "u": u}, dim_S(s, u).to_json(), None
 
 
 def _cylinder(config: RunConfig) -> _Result:

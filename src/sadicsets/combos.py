@@ -32,6 +32,7 @@ from .sadic import (
     Rational,
     _block_words,
     _digits_int,
+    _require_int,
     block_alphabet,
     digits_to_rational,
 )
@@ -74,10 +75,7 @@ class ComboAlphabet:
         object.__setattr__(
             self, "combos", tuple(parse_word(w) for w in self.combos)
         )
-        if not isinstance(self.s, int):
-            raise InvalidDigitError(f"base must be an integer, got {self.s!r}")
-        if self.s < 2:
-            raise InvalidDigitError(f"base must be >= 2, got {self.s}")
+        _require_int(self.s, 2, InvalidDigitError, "base")
         if not self.combos:
             raise WordError("alphabet needs at least one word")
         if len(set(self.combos)) != len(self.combos):
@@ -130,8 +128,7 @@ def tilde_alphabet(s: int) -> ComboAlphabet:
     holds exactly 1 + (s-2)(s-1) = s*s - 3s + 3 distinct words: one of
     length 1 and s-1 of each length 2..s-1.
     """
-    if s < 3:
-        raise InvalidDigitError(f"s must be >= 3, got {s}")
+    _require_int(s, 3, InvalidDigitError, "s")
     words = []
     seen = set()
     for c in range(1, s):

@@ -33,6 +33,7 @@ from .sadic import (
     BlockSequence,
     Rational,
     _block_words,
+    _require_int,
     _validate_marker,
     block_alphabet,
     element_value,
@@ -246,8 +247,7 @@ class LocateResult:
 def point_locate(x, s: int, u: int, depth: int) -> LocateResult:
     """Locate x relative to the (s, u) set by descending ``depth``
     levels of the cylinder tree with exact comparisons."""
-    if depth < 1:
-        raise InvalidBaseError("depth must be >= 1")
+    _require_int(depth, 1, InvalidBaseError, "depth")
     x = Fraction(x)
     extrema = set_extrema(s, u)
     lo, hi = extrema
@@ -314,8 +314,7 @@ def extension_value_bounds(
     """
     base = tuple(base)
     _validate_base(s, u, base)
-    if n_blocks < 1:
-        raise InvalidBaseError("n_blocks must be >= 1")
+    _require_int(n_blocks, 1, InvalidBaseError, "n_blocks")
     alphabet = block_alphabet(s, u)
     lo_c, hi_c = alphabet[0], alphabet[-1]
     mdim = n_blocks * hi_c

@@ -6,10 +6,10 @@ alpha >= 0 of
 
     F(alpha) = sum_k N_k * s**(-k * alpha) = 1.
 
-F is strictly decreasing with F(0) = m (the word count) and F -> 0, so
-bisection certifies the root with an explicit bracket.  Two regimes
-admit exact answers: m = 1 gives alpha = 0, and sum_k N_k s**-k = 1
-(the words tile the whole interval) gives alpha = 1.
+In t = s**-alpha it reads P(t) = sum_k N_k t**k = 1, P increasing, so
+bisecting t on dyadic rationals with integer sign tests certifies the
+root by an exact bracket P(t_lo) < 1 <= P(t_hi).  m = 1 gives alpha = 0
+and sum_k N_k s**-k = 1 (words tiling the interval) gives alpha = 1.
 
 `box_count_estimate` measures the covering exponent of actual interval
 hulls and serves as the empirical cross-check on the algebraic root; it
@@ -25,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .combos import ComboAlphabet, Interval, enumerate_prefixes, tilde_alphabet
-from .errors import InvalidBaseError, RangeError, ScaleMismatchError
-from .sadic import Rational, block_alphabet, rational_json
+from .errors import InvalidBaseError, ScaleMismatchError
+from .sadic import Rational, _require_int, block_alphabet, rational_json
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,7 @@ class MoranEquation:
     counts: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if type(self.s) is not int:
-            raise InvalidBaseError(f"base must be an int, got {self.s!r}")
-        if self.s < 2:
-            raise InvalidBaseError(f"base must be >= 2, got {self.s}")
+        _require_int(self.s, 2, InvalidBaseError, "base")
         items = dict(self.counts) if not isinstance(self.counts, dict) else self.counts
         norm = []
         for k, n in sorted(items.items()):
@@ -61,9 +58,6 @@ class MoranEquation:
     def m(self) -> int:
         return sum(n for _, n in self.counts)
 
-    def value(self, alpha: float) -> float:
-        return sum(n * self.s ** (-k * alpha) for k, n in self.counts)
-
     def value_at_one(self) -> Rational:
         """Exact F(1); equal to 1 only for interval-tiling alphabets."""
         return sum(
@@ -75,16 +69,19 @@ class MoranEquation:
 class DimensionResult:
     """Root of a dimension equation with its certificate.
 
-    ``bracket`` is the final bisection interval (degenerate for the
-    exact alpha = 0 and alpha = 1 regimes); ``closed_form`` carries an
-    exact expression when the equation is a monomial or quadratic in
-    t = s**-alpha.
+    ``t_bracket`` holds exact rationals t_lo, t_hi around t = s**-alpha
+    with P(t_lo) < 1 <= P(t_hi), or t_lo = t_hi with P(t) = 1 for the
+    exact alpha = 0 and alpha = 1 regimes; ``bracket`` is the same
+    interval in alpha, as floats, and ``residual`` is |P(t) - 1| at the
+    reported t.  ``closed_form`` carries an exact expression when the
+    equation is a monomial or quadratic in t.
     """
 
     alpha: float
     residual: float
     bracket: tuple[float, float]
-    closed_form: str | None = None
+    closed_form: str | None
+    t_bracket: tuple[Fraction, Fraction]
 
     def to_json(self) -> dict:
         return {
@@ -111,48 +108,56 @@ def _closed_form(eq: MoranEquation) -> str | None:
     return None
 
 
-def moran_solve(eq: MoranEquation, tol: float = 1e-12) -> DimensionResult:
-    """Certified root of F(alpha) = 1.
+def _scaled_sum(counts, top: int, m: int, b: int) -> int:
+    # 2**(b*top) * P(m / 2**b), by Horner from the longest word down
+    acc, j = 0, top
+    for k, n in reversed(counts):
+        acc = acc * m ** (j - k) + (n << b * (top - k))
+        j = k
+    return acc * m**j
 
-    Bisection on the strictly decreasing F keeps F(lo) >= 1 >= F(hi) at
-    every step; the initial bracket [0, 1] is extended upward when the
-    counts exceed the base's capacity (F(1) > 1).  The two exact regimes
-    short-circuit: a single word gives alpha = 0, an interval-tiling
-    alphabet gives alpha = 1.
+
+def _alpha(m: int, b: int, s: int) -> float:
+    # -log_s(t) for t = m / 2**b in [2**(e-1), 2**e): log1p keeps t near 1
+    # exact, and the split-off exponent keeps tiny t from underflowing.
+    e = m.bit_length() - b
+    frac = math.log1p((m - (1 << b)) / (1 << b)) if e == 0 else math.log(m / (1 << (b + e)))
+    return -(frac + e * math.log(2)) / math.log(s)
+
+
+def moran_solve(eq: MoranEquation) -> DimensionResult:
+    """Certified root of F(alpha) = 1, by bisection on t = s**-alpha.
+
+    The bracket (m/2**b, (m+1)/2**b) starts at (0, 1) and halves each
+    step on the integer test P(mid) >= 1: sum_k N_k m**k 2**(b(K-k)) >=
+    2**(bK), K the longest word length.  Relative to alpha its width is
+    at most 2**-b / (t |ln t|), so stopping at m (2**b - m - 1) >=
+    2**(b+55) pins alpha, read off the midpoint, to double precision.
+    A single word gives alpha = 0, an interval-tiling alphabet alpha = 1.
     """
-    if not 0 < tol < math.inf:  # also rejects NaN
-        raise RangeError("tolerance must be positive and finite")
     if eq.m == 1:
-        return DimensionResult(0.0, abs(eq.value(0.0) - 1.0), (0.0, 0.0), "0")
+        return DimensionResult(0.0, 0.0, (0.0, 0.0), "0", (Fraction(1),) * 2)
     if eq.value_at_one() == 1:
-        return DimensionResult(1.0, abs(eq.value(1.0) - 1.0), (1.0, 1.0), "1")
-    lo, hi = 0.0, 1.0
-    while eq.value(hi) > 1.0:
-        lo, hi = hi, hi * 2.0
-    # Width well below tol so the midpoint residual stays ~10*tol even
-    # for steep F (|F'| <= k_max * log s near the root).
-    width = min(tol, 1e-13)
-    for _ in range(200):
-        if hi - lo <= width:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if eq.value(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-    return DimensionResult(
-        alpha, abs(eq.value(alpha) - 1.0), (lo, hi), _closed_form(eq)
-    )
+        return DimensionResult(1.0, 0.0, (1.0, 1.0), "1", (Fraction(1, eq.s),) * 2)
+    top = eq.counts[-1][0]
+    m, b = 0, 0
+    while m * ((1 << b) - m - 1) < 1 << (b + 55):
+        m, b = 2 * m + 1, b + 1
+        if _scaled_sum(eq.counts, top, m, b) >= 1 << (b * top):
+            m -= 1
+    one = 1 << ((b + 1) * top)
+    residual = abs(_scaled_sum(eq.counts, top, 2 * m + 1, b + 1) - one) / one
+    bracket = (_alpha(m + 1, b, eq.s), _alpha(m, b, eq.s))
+    t_bracket = (Fraction(m, 1 << b), Fraction(m + 1, 1 << b))
+    alpha = _alpha(2 * m + 1, b + 1, eq.s)
+    return DimensionResult(alpha, residual, bracket, _closed_form(eq), t_bracket)
 
 
-def dim_S(s: int, u: int, tol: float = 1e-12) -> DimensionResult:
+def dim_S(s: int, u: int) -> DimensionResult:
     """Dimension of the (s, u) marker-run set: one word per usable block
     value c, of digit length c."""
     counts = {c: 1 for c in block_alphabet(s, u)}
-    return moran_solve(MoranEquation(s, tuple(counts.items())), tol)
+    return moran_solve(MoranEquation(s, tuple(counts.items())))
 
 
 def dim_tilde(s: int) -> DimensionResult:
@@ -161,9 +166,9 @@ def dim_tilde(s: int) -> DimensionResult:
     return moran_solve(MoranEquation.from_alphabet(tilde_alphabet(s)))
 
 
-def dim_alphabet(a: ComboAlphabet, tol: float = 1e-12) -> DimensionResult:
+def dim_alphabet(a: ComboAlphabet) -> DimensionResult:
     """Dimension of the set generated by an arbitrary word alphabet."""
-    return moran_solve(MoranEquation.from_alphabet(a), tol)
+    return moran_solve(MoranEquation.from_alphabet(a))
 
 
 @dataclass(frozen=True)

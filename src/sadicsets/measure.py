@@ -25,7 +25,7 @@ from fractions import Fraction
 from .combos import Interval, _extend, _hull, induced_alphabet
 from .cylinders import set_extrema
 from .errors import RangeError, ResourceBudgetError, SadicError
-from .sadic import Rational, block_alphabet, rational_json
+from .sadic import Rational, _require_int, block_alphabet, rational_json
 
 DEFAULT_BIT_BUDGET = 1 << 20
 
@@ -79,8 +79,7 @@ def cover_stage(
     bounded by the total denominator bit count of the stage, not by k
     itself (cost scales with the digit totals of the bases).
     """
-    if k < 1:
-        raise RangeError("stage rank must be >= 1")
+    _require_int(k, 1, RangeError, "stage rank")
     bits = _stage_bits(s, u, k)
     if bits > bit_budget:
         raise ResourceBudgetError(
@@ -111,8 +110,7 @@ def cover_stage(
 def measure_decay_report(s: int, u: int, k_max: int) -> list[tuple[int, Rational]]:
     """(k, stage length) for k = 1..k_max via the closed form, checking
     the exact ratio sigma between consecutive stages."""
-    if k_max < 1:
-        raise RangeError("k_max must be >= 1")
+    _require_int(k_max, 1, RangeError, "k_max")
     lo0, hi0 = set_extrema(s, u)
     d0 = hi0 - lo0
     r = sigma(s, u)

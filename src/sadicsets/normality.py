@@ -21,6 +21,7 @@ from .errors import RangeError, SadicError
 from .sadic import (
     DigitString,
     Rational,
+    _require_int,
     _split_blocks,
     block_alphabet,
     rational_json,
@@ -54,8 +55,7 @@ def digit_frequencies(d: DigitString, k: int) -> FrequencyProfile:
     Periodic tails are counted cycle-wise, so k may be far larger than
     the stored description; a finite string shorter than k raises.
     """
-    if k < 1:
-        raise RangeError("prefix length must be >= 1")
+    _require_int(k, 1, RangeError, "prefix length")
     counts = [0] * d.base
     if d.period is None or k <= len(d.preperiod):
         for dig in d.digits(k):  # raises when the finite word is short
@@ -81,8 +81,7 @@ def structural_zero_frequency(s: int) -> Rational:
     are impossible frequencies: the premise is vacuous there, which
     rules balanced streams out a fortiori.
     """
-    if s < 3:
-        raise RangeError(f"s must be >= 3, got {s}")
+    _require_int(s, 3, RangeError, "s")
     return Fraction((s - 2) * (s - 1), 2 * s)
 
 
@@ -94,8 +93,7 @@ def uniform_stream_zero_frequency(s: int) -> Rational:
     Differs from `structural_zero_frequency` for every s > 3: typical
     streams are even further from digit balance than forced ones.
     """
-    if s < 3:
-        raise RangeError(f"s must be >= 3, got {s}")
+    _require_int(s, 3, RangeError, "s")
     return Fraction(s - 2, s)
 
 
@@ -188,8 +186,7 @@ def structural_identity_residual(d: DigitString, u: int, k: int) -> ResidualRepo
     A periodic stream is split only up to a bound set by its period, so
     the cost does not grow with k.
     """
-    if k < 1:
-        raise RangeError("prefix length must be >= 1")
+    _require_int(k, 1, RangeError, "prefix length")
     s = d.base
     closers = block_alphabet(s, u)  # checks the marker before any digit
     cut = k

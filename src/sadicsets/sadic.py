@@ -33,6 +33,7 @@ from .errors import (
     InvalidDigitError,
     NotAMemberError,
     RangeError,
+    SadicError,
 )
 
 Rational = Fraction
@@ -65,6 +66,13 @@ def _validate_marker(s: int, u: int) -> None:
         raise InvalidBaseError(f"s must be >= 3, got {s}")
     if not 0 <= u < s:
         raise InvalidBaseError(f"marker {u} out of range for base {s}")
+
+
+def _require_int(value, least: int, error: type[SadicError], what: str) -> None:
+    """Reject ``value`` with ``error`` unless it is an int (a bool is not
+    one) and at least ``least``."""
+    if type(value) is not int or value < least:
+        raise error(f"{what} must be an int >= {least}, got {value!r}")
 
 
 # Cached: the block split asks for it on every call, and building the
@@ -125,8 +133,7 @@ class DigitString:
         Raises `InsufficientDigitsError` for a finite string shorter
         than k; a terminating value has no digits beyond its word.
         """
-        if k < 0:
-            raise RangeError("digit count must be nonnegative")
+        _require_int(k, 0, RangeError, "digit count")
         if k <= len(self.preperiod):
             return self.preperiod[:k]
         if self.period is None:
@@ -264,8 +271,9 @@ def rational_to_digits(x: Rational, s: int, n: int | None = None) -> DigitString
     full eventually periodic expansion found by long division, which
     `digits_to_rational` maps back to x exactly.
     """
-    if s < 2:
-        raise InvalidDigitError(f"base must be >= 2, got {s}")
+    _require_int(s, 2, InvalidDigitError, "base")
+    if n is not None:
+        _require_int(n, 0, RangeError, "digit count")
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise RangeError(f"{x} lies outside [0, 1]")
@@ -276,8 +284,6 @@ def rational_to_digits(x: Rational, s: int, n: int | None = None) -> DigitString
         return DigitString(s, (s - 1,) * n, None)
     num, den = x.numerator, x.denominator
     if n is not None:
-        if n < 0:
-            raise RangeError("digit count must be nonnegative")
         digits = []
         r = num
         for _ in range(n):

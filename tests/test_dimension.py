@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sadicsets import (
     InvalidBaseError,
     MoranEquation,
-    RangeError,
     ScaleMismatchError,
     box_count_estimate,
     box_count_for_alphabet,
@@ -25,6 +24,20 @@ from sadicsets import (
 )
 
 PHI = (math.sqrt(5.0) + 1.0) / 2.0
+
+
+def _P(eq, t):
+    # P(t) = sum_k N_k t**k in Fraction arithmetic
+    return sum(n * Fraction(t) ** k for k, n in eq.counts)
+
+
+def _assert_certified(eq, r):
+    t_lo, t_hi = r.t_bracket
+    if t_lo == t_hi:  # the exact alpha = 0 and alpha = 1 regimes
+        assert _P(eq, t_lo) == 1
+    else:
+        assert _P(eq, t_lo) < 1 <= _P(eq, t_hi)
+    assert r.bracket[0] <= r.alpha <= r.bracket[1]
 
 
 class TestMoranSolve:
@@ -77,17 +90,57 @@ class TestMoranSolve:
     def test_bracket_sandwiches_root(self):
         eq = MoranEquation(5, {1: 2, 3: 1})
         r = moran_solve(eq)
+        t_lo, t_hi = r.t_bracket
+        assert _P(eq, t_lo) < 1 <= _P(eq, t_hi)
         lo, hi = r.bracket
-        assert eq.value(lo) >= 1.0 >= eq.value(hi)
+        assert lo <= r.alpha <= hi
         assert abs(r.residual) < 1e-9
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(RangeError):
-            moran_solve(MoranEquation(3, {1: 1, 2: 1}), tol=0.0)
-        with pytest.raises(RangeError):
-            moran_solve(MoranEquation(3, {1: 1, 2: 1}), tol=float("nan"))
-        with pytest.raises(RangeError):
-            moran_solve(MoranEquation(3, {1: 1, 2: 1}), tol=float("inf"))
+    @given(
+        st.integers(2, 12),
+        st.dictionaries(
+            st.integers(1, 60), st.integers(1, 10**40), min_size=1, max_size=5
+        ),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_certificate(self, s, counts):
+        eq = MoranEquation(s, counts)
+        _assert_certified(eq, moran_solve(eq))
+
+    def test_huge_counts_do_not_overflow(self):
+        # a float solver overflows on 10**320
+        eq = MoranEquation(10, ((1, 1), (400, 10**320)))
+        r = moran_solve(eq)
+        _assert_certified(eq, r)
+        assert 0 < r.alpha < 1 and r.residual < 1e-9
+
+    def test_long_words_hit_the_root(self):
+        # 2 t**2000 = 1 in base 2 is alpha = 1/2000 on the nose
+        eq = MoranEquation(2, ((2000, 2),))
+        r = moran_solve(eq)
+        _assert_certified(eq, r)
+        assert r.alpha == 0.0005
+
+    def test_closed_forms_to_the_last_bit(self):
+        for r, want in [
+            (dim_S(3, 0), math.log(PHI) / math.log(3)),
+            (dim_alphabet(sprime3_alphabet()), math.log(2) / (3 * math.log(3))),
+            (dim_tilde(3), math.log(2) / math.log(3)),
+        ]:
+            assert abs(r.alpha - want) <= math.ulp(want)
+
+    def test_dyadic_root_is_the_upper_end(self):
+        # t + 2 t**2 = 1 has the root t = 1/2: P(1/2) = 1 keeps it as t_hi
+        eq = MoranEquation.from_alphabet(tilde_alphabet(3))
+        r = moran_solve(eq)
+        _assert_certified(eq, r)
+        assert r.t_bracket[1] == Fraction(1, 2)
+
+    def test_exact_regimes_are_certified(self):
+        for eq in (MoranEquation(3, {2: 1}), MoranEquation(4, {1: 4})):
+            r = moran_solve(eq)
+            _assert_certified(eq, r)
+            assert r.residual == 0.0
 
     def test_rejects_empty_counts(self):
         with pytest.raises(InvalidBaseError):
@@ -101,9 +154,9 @@ class TestMoranSolve:
     )
     @settings(deadline=None)
     def test_solution_solves_equation(self, s, counts):
-        eq = MoranEquation(s, counts)
-        r = moran_solve(eq)
-        assert abs(eq.value(r.alpha) - 1.0) < 1e-8
+        r = moran_solve(MoranEquation(s, counts))
+        value = sum(n * s ** (-k * r.alpha) for k, n in counts.items())
+        assert abs(value - 1.0) < 1e-8
 
     @given(
         st.integers(3, 8),

@@ -22,9 +22,19 @@ from sadicsets import (
     block_alphabet,
     block_decode,
     block_encode,
+    cover_stage,
+    digit_frequencies,
     digits_to_rational,
     element_value,
+    extension_value_bounds,
+    measure_decay_report,
+    normal_candidate_exists,
+    point_locate,
     rational_to_digits,
+    structural_identity_residual,
+    structural_zero_frequency,
+    tilde_alphabet,
+    uniform_stream_zero_frequency,
 )
 
 
@@ -291,3 +301,32 @@ class TestElementValue:
         # (021)^inf base 3 as a digit string
         d = DigitString(3, (), (0, 2, 1))
         assert digits_to_rational(d) == Fraction(7, 26)
+
+
+_PERIODIC = DigitString(3, (1,), (2,))
+
+# (function, leading arguments, a valid int for the last argument)
+_INT_ARGUMENTS = [
+    (tilde_alphabet, (), 3),
+    (normal_candidate_exists, (), 3),
+    (structural_zero_frequency, (), 3),
+    (uniform_stream_zero_frequency, (), 3),
+    (cover_stage, (3, 0), 2),
+    (measure_decay_report, (3, 0), 2),
+    (extension_value_bounds, (3, 0, ()), 2),
+    (point_locate, (Fraction(1, 3), 3, 0), 2),
+    (rational_to_digits, (Fraction(1, 3), 3), 2),
+    (_PERIODIC.digits, (), 2),
+    (digit_frequencies, (_PERIODIC,), 2),
+    (structural_identity_residual, (DigitString(3, (), (0, 2)), 0), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "func,args,good", _INT_ARGUMENTS, ids=[f.__name__ for f, _, _ in _INT_ARGUMENTS]
+)
+def test_int_arguments_reject_floats_and_bools(func, args, good):
+    func(*args, good)
+    for bad in (float(good) + 0.5, float(good), True):
+        with pytest.raises(SadicError):
+            func(*args, bad)
