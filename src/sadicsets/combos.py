@@ -8,9 +8,22 @@ cylinder is value(prefix) + s**-N * E, where E is the whole set; its
 hull therefore scales the whole-set extrema by s**-N exactly.
 
 Every prefix hull in the package, marker-run cylinders and covering
-stages included, is computed here in one way: the prefix is carried as
-an integer numerator over s**N (`_extend`), and each hull endpoint
-becomes a single `Fraction` only at the end (`_hull`).
+stages included, is computed here in one integer form.  A prefix is an
+integer numerator num over s**N (`_extend`, `_word_steps`), and the
+whole-set extrema are put once over one common denominator q as
+(q, p_lo, p_hi) (`_over_one_denominator`, cached per alphabet by
+`_extrema_q`), so the prefix hull is
+
+    [num*q + p_lo, num*q + p_hi] / (q * s**N).
+
+Layers that only compare, count or sum hulls (the frontier audit, box
+counting, covering stages, point location) stay in these integers; a
+hull endpoint becomes a `Fraction` only when an API returns it
+(`_hull`).
+
+Frontier enumeration is refused with `ResourceBudgetError` when the
+exact frontier size, counted from the length histogram alone
+(`_frontier_size`), exceeds `FRONTIER_BUDGET`.
 
 Whole-set extrema follow the single-word periodic rule: the least and
 greatest element are attained by repeating one alphabet word forever.
@@ -21,12 +34,19 @@ every prefix hull up to a configurable digit depth and raises
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidDigitError, ExtremaFalsificationError, RangeError, WordError
+from .errors import (
+    ExtremaFalsificationError,
+    InvalidDigitError,
+    RangeError,
+    ResourceBudgetError,
+    WordError,
+)
 from .sadic import (
     DigitString,
     Rational,
@@ -38,6 +58,12 @@ from .sadic import (
 )
 
 Interval = tuple[Rational, Rational]
+
+# Most frontier prefixes one enumeration may visit.  At the budget, box
+# counting takes about 1.5 s and `enumerate_prefixes`, which returns a
+# `Fraction` hull per prefix, about 10 s and 650 MB (2 cores, Python
+# 3.11); the CLI default `boxcount --alphabet tilde:5` needs 55,789.
+FRONTIER_BUDGET = 1 << 20
 
 
 def parse_word(word) -> tuple[int, ...]:
@@ -159,19 +185,33 @@ def induced_alphabet(s: int, u: int) -> ComboAlphabet:
 def _extend(s: int, words, num: int = 0, scale: int = 1) -> tuple[int, int]:
     """Prefix num / scale (scale = s**N) followed by ``words``, returned
     in the same integer form."""
-    for w in words:
-        step = s ** len(w)
-        num, scale = num * step + _digits_int(w, s), scale * step
+    for _, step, v in _word_steps(s, words):
+        num, scale = num * step + v, scale * step
     return num, scale
 
 
-def _hull(num: int, scale: int, extrema) -> Interval:
-    """Hull num/scale + [inf E, sup E]/scale of the prefix num/scale,
-    given the whole-set ``extrema`` (inf E, sup E)."""
-    return tuple(
-        Fraction(num * e.denominator + e.numerator, e.denominator * scale)
-        for e in extrema
-    )
+def _word_steps(s: int, words) -> list[tuple[int, int, int]]:
+    """(len(w), step = s**len(w), integer value v of w) per word:
+    appending w to the prefix num / s**n gives the prefix
+    (num*step + v) / s**(n + len(w))."""
+    return [(len(w), s ** len(w), _digits_int(w, s)) for w in words]
+
+
+def _over_one_denominator(lo: Rational, hi: Rational) -> tuple[int, int, int]:
+    """(q, p_lo, p_hi) with lo = p_lo / q and hi = p_hi / q, q the lcm
+    of the two denominators."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    q = math.lcm(lo.denominator, hi.denominator)
+    return q, lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+
+
+def _hull(num: int, scale: int, extrema_q: tuple[int, int, int]) -> Interval:
+    """Hull [num*q + p_lo, num*q + p_hi] / (q*scale) of the prefix
+    num/scale, given the whole-set extrema (q, p_lo, p_hi) over one
+    denominator; the one place a hull becomes `Fraction`s."""
+    q, p_lo, p_hi = extrema_q
+    top, den = num * q, q * scale
+    return Fraction(top + p_lo, den), Fraction(top + p_hi, den)
 
 
 def _word_value(a: ComboAlphabet, w: tuple[int, ...]) -> Rational:
@@ -192,6 +232,12 @@ def _extrema_raw(a: ComboAlphabet) -> tuple[Rational, Rational, tuple, tuple]:
     return lo, hi, wlo, whi
 
 
+@lru_cache(maxsize=256)
+def _extrema_q(a: ComboAlphabet) -> tuple[int, int, int]:
+    """The alphabet's whole-set extrema as (q, p_lo, p_hi)."""
+    return _over_one_denominator(*_extrema_raw(a)[:2])
+
+
 @dataclass(frozen=True)
 class ComboExtrema:
     inf: Rational
@@ -200,28 +246,68 @@ class ComboExtrema:
     arg_sup: tuple[int, ...]
 
 
-def _frontier(a: ComboAlphabet, max_digits: int):
-    """Yield (num, scale, prefix) for every word sequence whose digit
-    total lands in (max_digits - max word length, max_digits]; the
-    prefix value is num / scale, scale = s**(digit total).
+def _frontier_size(a: ComboAlphabet, max_digits: int) -> int:
+    """Exact number of frontier prefixes at ``max_digits``, from the
+    length histogram alone.
+
+    f[n] = sum_k N_k f[n-k] counts the word sequences of digit total n.
+    Each of them with n <= max_digits - L (L the longest word) is a
+    parent, and gives one frontier prefix per word whose length carries
+    it past that bound.
+    """
+    low = max_digits - a.max_len
+    counts = a.length_counts.items()
+    f = [1]
+    for n in range(1, low + 1):
+        f.append(sum(c * f[n - k] for k, c in counts if k <= n))
+    return sum(
+        f[p] * sum(c for k, c in counts if p + k > low) for p in range(low + 1)
+    )
+
+
+def _frontier(a: ComboAlphabet, max_digits: int, what: str):
+    """Check ``max_digits`` (named ``what`` in errors) and the frontier
+    budget, then return an iterator of (num, n, path) over every word
+    sequence whose digit total n lands in (max_digits - L, max_digits],
+    L the longest word; the prefix value is num / s**n and ``path``
+    unrolls to its words with `_words`.
 
     Each infinite stream of alphabet words passes through exactly one
     such frontier prefix, so the frontier hulls cover the whole set.
     """
+    _require_int(max_digits, a.max_len, RangeError, what)
+    size = _frontier_size(a, max_digits)
+    if size > FRONTIER_BUDGET:
+        raise ResourceBudgetError(
+            f"{what} {max_digits} would enumerate {size} frontier prefixes, "
+            f"budget is {FRONTIER_BUDGET}"
+        )
+    return _walk(a, max_digits)
+
+
+def _walk(a: ComboAlphabet, max_digits: int):
+    # Depth first, children in alphabet order.  A path is the cons cell
+    # (parent path, last word), so no word tuple is built per prefix.
     low = max_digits - a.max_len
-    stack = [(0, 1, 0, ())]
+    steps = [(*st, w) for st, w in zip(_word_steps(a.s, a.combos), a.combos)]
+    stack = [(0, 0, None)]
     while stack:
-        num, scale, n, prefix = stack.pop()
-        for w in a.combos:
-            n2 = n + len(w)
-            if n2 > max_digits:
-                continue
-            num2, scale2 = _extend(a.s, (w,), num, scale)
-            pre2 = prefix + (w,)
-            if n2 > low:
-                yield num2, scale2, pre2
+        num, n, path = stack.pop()
+        for k, step, v, w in steps:
+            node = (num * step + v, n + k, (path, w))
+            if node[1] > low:
+                yield node
             else:
-                stack.append((num2, scale2, n2, pre2))
+                stack.append(node)
+
+
+def _words(path) -> tuple[tuple[int, ...], ...]:
+    """The word sequence of a `_walk` path."""
+    out = []
+    while path is not None:
+        path, w = path
+        out.append(w)
+    return tuple(reversed(out))
 
 
 def audit_extrema(
@@ -233,15 +319,21 @@ def audit_extrema(
     A prefix of N digits confines its continuations to
     value + s**-N * [inf, sup], so a violation of
     inf <= hull.lower and hull.upper <= sup falsifies the claim; the
-    offending prefix is reported in the raised error.
+    offending prefix is reported in the raised error.  With inf and sup
+    over one denominator q the test is the integer one
+    num*q + p_lo >= p_lo * s**N and num*q + p_hi <= p_hi * s**N.
     """
-    if max_digits < a.max_len:
-        raise RangeError("audit depth must cover the longest word")
+    frontier = _frontier(a, max_digits, "audit depth")
+    claim = q, p_lo, p_hi = _over_one_denominator(inf, sup)
+    pw = [a.s**n for n in range(max_digits + 1)]
+    lo_at = [p_lo * scale for scale in pw]
+    hi_at = [p_hi * scale for scale in pw]
     checked = 0
-    for num, scale, prefix in _frontier(a, max_digits):
-        lo_hull, hi_hull = _hull(num, scale, (inf, sup))
-        if lo_hull < inf or hi_hull > sup:
-            words = " ".join(word_str(w) for w in prefix)
+    for num, n, path in frontier:
+        top = num * q
+        if top + p_lo < lo_at[n] or top + p_hi > hi_at[n]:
+            lo_hull, hi_hull = _hull(num, pw[n], claim)
+            words = " ".join(word_str(w) for w in _words(path))
             raise ExtremaFalsificationError(
                 f"prefix {words} yields hull [{lo_hull}, {hi_hull}] outside "
                 f"claimed extrema [{inf}, {sup}]"
@@ -301,7 +393,7 @@ def combo_cylinder(a: ComboAlphabet, base) -> ComboCylinder:
     for w in base:
         if w not in a.combos:
             raise WordError(f"word {word_str(w)} not in the alphabet")
-    lo, hi = _hull(*_extend(a.s, base), _extrema_raw(a)[:2])
+    lo, hi = _hull(*_extend(a.s, base), _extrema_q(a))
     return ComboCylinder(a, base, sum(len(w) for w in base), lo, hi)
 
 
@@ -311,17 +403,15 @@ def enumerate_prefixes(
     """All frontier prefixes at the given digit depth with their hulls.
 
     Returns (hull, prefix) pairs whose digit totals lie in
-    (max_digits - max word length, max_digits]; their hulls cover the
-    set and feed the box-counting estimator.
+    (max_digits - max word length, max_digits], sorted by (hull.lower,
+    prefix); their hulls cover the set.  The sort key is the integer
+    hull.lower * q * s**max_digits.
     """
-    if max_digits < a.max_len:
-        raise RangeError(
-            f"max_digits must be >= the longest word ({a.max_len})"
-        )
-    extrema = _extrema_raw(a)[:2]
-    out = [
-        (_hull(num, scale, extrema), prefix)
-        for num, scale, prefix in _frontier(a, max_digits)
-    ]
-    out.sort(key=lambda item: (item[0][0], item[1]))
-    return out
+    frontier = _frontier(a, max_digits, "max_digits")
+    ext = q, p_lo, _ = _extrema_q(a)
+    pw = [a.s**n for n in range(max_digits + 1)]
+    keyed = sorted(
+        ((num * q + p_lo) * pw[max_digits - n], _words(path), num, n)
+        for num, n, path in frontier
+    )
+    return [(_hull(num, pw[n], ext), prefix) for _, prefix, num, n in keyed]

@@ -19,16 +19,25 @@ and (inf0, sup0) are the extrema of the whole set:
 
 The cylinder is the word-alphabet prefix cylinder of the induced
 alphabet {u^(c-1) c}, so its hull comes from the integer prefix kernel
-of `combos`.
+of `combos`, with (inf0, sup0) over one denominator cached per (s, u)
+(`_set_extrema_q`).  `point_locate` descends in that integer form too
+and builds `Fraction`s only for the hull or gap it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .combos import _extend, _hull, induced_alphabet
-from .errors import InvalidBaseError, SadicError
+from .combos import (
+    _extend,
+    _hull,
+    _over_one_denominator,
+    _word_steps,
+    induced_alphabet,
+)
+from .errors import InvalidBaseError, RangeError, SadicError
 from .sadic import (
     BlockSequence,
     Rational,
@@ -69,6 +78,14 @@ def set_extrema(s: int, u: int) -> tuple[Rational, Rational]:
     return lo, hi
 
 
+# Typed, so that 3.0 or True never hits the entry cached for 3 or 1 and
+# skips the (s, u) check of `set_extrema`.
+@lru_cache(maxsize=256, typed=True)
+def _set_extrema_q(s: int, u: int) -> tuple[int, int, int]:
+    """`set_extrema` over one denominator, as (q, p_lo, p_hi)."""
+    return _over_one_denominator(*set_extrema(s, u))
+
+
 @dataclass(frozen=True)
 class Cylinder:
     """Hull data of the cylinder fixing the block prefix ``base``.
@@ -103,7 +120,7 @@ def cylinder(s: int, u: int, base) -> Cylinder:
     base = tuple(base)
     _validate_base(s, u, base)
     num, scale = _extend(s, (_block_words(base, u),))
-    inf, sup = _hull(num, scale, set_extrema(s, u))
+    inf, sup = _hull(num, scale, _set_extrema_q(s, u))
     return Cylinder(s, u, base, Fraction(num, scale), inf, sup)
 
 
@@ -246,46 +263,50 @@ class LocateResult:
 
 def point_locate(x, s: int, u: int, depth: int) -> LocateResult:
     """Locate x relative to the (s, u) set by descending ``depth``
-    levels of the cylinder tree with exact comparisons."""
+    levels of the cylinder tree with exact comparisons.
+
+    With x = xn/xd and the parent prefix num/scale, the integer
+    y = xn*scale - num*xd is x's offset inside the parent, scaled by
+    scale*xd; the child appending a word (step, v) holds x exactly when
+    p_lo*xd <= (y*step - v*xd)*q <= p_hi*xd.  So each level compares
+    integers whose size does not grow with the depth, and `Fraction`s
+    are built only for the hull or gap returned.
+    """
     _require_int(depth, 1, InvalidBaseError, "depth")
-    x = Fraction(x)
-    extrema = set_extrema(s, u)
-    lo, hi = extrema
-    if not lo <= x <= hi:
+    try:
+        x = Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise RangeError(f"point {x!r} is not a rational number") from None
+    ext = q, p_lo, p_hi = _set_extrema_q(s, u)
+    xn, xd = x.numerator, x.denominator
+    lo_x, hi_x = p_lo * xd, p_hi * xd
+    if not lo_x <= xn * q <= hi_x:
         return LocateResult(
             "excluded",
-            hull=extrema,
+            hull=set_extrema(s, u),
             detail="outside the hull of the whole set",
         )
     words = induced_alphabet(s, u).combos
-    num, scale = 0, 1
+    kids = [
+        (step, v, v * xd, w[-1])
+        for (_, step, v), w in zip(_word_steps(s, words), words)
+    ]
+    num, scale, y = 0, 1, xn
     chain: list[int] = []
     for _ in range(depth):
-        # (inf, sup, last block, numerator, scale) of each child: the
-        # parent's numerator extended by one block word
-        kids = []
-        for w in words:
-            knum, kscale = _extend(s, (w,), num, scale)
-            kids.append((*_hull(knum, kscale, extrema), w[-1], knum, kscale))
-        kids.sort(key=lambda k: k[0])
-        nxt = next((k for k in kids if k[0] <= x <= k[1]), None)
-        if nxt is None:
-            for a, b in zip(kids, kids[1:]):
-                if a[1] < x < b[0]:
-                    return LocateResult(
-                        "excluded",
-                        chain=tuple(chain),
-                        gap=(a[1], b[0]),
-                        detail=(
-                            f"in the gap between sibling blocks "
-                            f"{a[2]} and {b[2]}"
-                        ),
-                    )
-            raise SadicError("internal: point lost between children")
-        lo, hi, c, num, scale = nxt
+        # sibling hulls are disjoint, so at most one child holds x
+        for step, v, vx, c in kids:
+            ky = y * step - vx
+            if lo_x <= ky * q <= hi_x:
+                break
+        else:
+            return _locate_gap(x, chain, num, scale, ext, kids)
+        num, scale, y = num * step + v, scale * step, ky
         chain.append(c)
-    if x == lo or x == hi:
-        which = "inf" if x == lo else "sup"
+    lo, hi = _hull(num, scale, ext)
+    yq = y * q
+    if yq == lo_x or yq == hi_x:
+        which = "inf" if yq == lo_x else "sup"
         return LocateResult(
             "inside",
             chain=tuple(chain),
@@ -298,6 +319,23 @@ def point_locate(x, s: int, u: int, depth: int) -> LocateResult:
         hull=(lo, hi),
         detail=f"interior to its depth-{depth} hull; membership unresolved",
     )
+
+
+def _locate_gap(x, chain, num, scale, ext, kids) -> LocateResult:
+    # x lies in no child of num/scale: find the gap between the sorted
+    # sibling hulls that holds it.
+    hulls = sorted(
+        (*_hull(num * step + v, scale * step, ext), c) for step, v, _, c in kids
+    )
+    for a, b in zip(hulls, hulls[1:]):
+        if a[1] < x < b[0]:
+            return LocateResult(
+                "excluded",
+                chain=tuple(chain),
+                gap=(a[1], b[0]),
+                detail=f"in the gap between sibling blocks {a[2]} and {b[2]}",
+            )
+    raise SadicError("internal: point lost between children")
 
 
 def extension_value_bounds(

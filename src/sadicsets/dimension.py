@@ -13,7 +13,11 @@ and sum_k N_k s**-k = 1 (words tiling the interval) gives alpha = 1.
 
 `box_count_estimate` measures the covering exponent of actual interval
 hulls and serves as the empirical cross-check on the algebraic root; it
-never looks at the equation.
+never looks at the equation.  `box_count_for_alphabet` counts the same
+boxes straight from the integer prefix frontier of `combos`: each hull
+[num*q + p_lo, num*q + p_hi] / (q * s**n) is floor-divided once, at the
+finest scale s**-J, and every coarser box index follows by nesting,
+floor(y s**j) = floor(y s**J) // s**(J-j).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combos import ComboAlphabet, Interval, enumerate_prefixes, tilde_alphabet
+from .combos import ComboAlphabet, Interval, _extrema_q, _frontier, tilde_alphabet
 from .errors import InvalidBaseError, ScaleMismatchError
 from .sadic import Rational, _require_int, block_alphabet, rational_json
 
@@ -194,6 +198,34 @@ def _floor_div(x: Rational, eps: Rational) -> int:
     return (x.numerator * eps.denominator) // (x.denominator * eps.numerator)
 
 
+def _checked_scales(scales) -> list[Fraction]:
+    """The scales as `Fraction`s, coarse first, or a `ScaleMismatchError`."""
+    if len(scales) < 3:
+        raise ScaleMismatchError(f"need at least 3 scales, got {len(scales)}")
+    scales = sorted((Fraction(e) for e in scales), reverse=True)
+    if any(e <= 0 for e in scales):
+        raise ScaleMismatchError("scales must be positive")
+    if len(set(scales)) != len(scales):
+        raise ScaleMismatchError("scales must be distinct")
+    return scales
+
+
+def _width_error(widest: Rational, finest: Rational) -> ScaleMismatchError:
+    return ScaleMismatchError(
+        f"hull width {widest} exceeds finest scale {finest}; "
+        "enumerate deeper or coarsen the scales"
+    )
+
+
+def _fit(counts: list[tuple[Rational, int]]) -> BoxCountResult:
+    # With five or more scales the two coarsest are left out of the fit.
+    fit = counts[2:] if len(counts) >= 5 else counts
+    xs = [-math.log(float(eps)) for eps, _ in fit]
+    ys = [math.log(n) for _, n in fit]
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    return BoxCountResult(slope, tuple(counts), len(fit))
+
+
 def box_count_estimate(
     hulls: list[Interval], scales: list[Rational]
 ) -> BoxCountResult:
@@ -206,21 +238,12 @@ def box_count_estimate(
     With five or more scales the two coarsest are dropped from the fit
     to damp transient bias; counts for them are still reported.
     """
-    if len(scales) < 3:
-        raise ScaleMismatchError(f"need at least 3 scales, got {len(scales)}")
-    scales = sorted((Fraction(e) for e in scales), reverse=True)
-    if any(e <= 0 for e in scales):
-        raise ScaleMismatchError("scales must be positive")
-    if len(set(scales)) != len(scales):
-        raise ScaleMismatchError("scales must be distinct")
+    scales = _checked_scales(scales)
     if not hulls:
         raise ScaleMismatchError("no hulls to count")
     widest = max(hi - lo for lo, hi in hulls)
     if widest > scales[-1]:
-        raise ScaleMismatchError(
-            f"hull width {widest} exceeds finest scale {scales[-1]}; "
-            "enumerate deeper or coarsen the scales"
-        )
+        raise _width_error(widest, scales[-1])
     counts = []
     for eps in scales:
         boxes: set[int] = set()
@@ -229,21 +252,47 @@ def box_count_estimate(
             i1 = _floor_div(hi, eps)
             boxes.update(range(i0, i1 + 1))
         counts.append((eps, len(boxes)))
-    fit = counts[2:] if len(counts) >= 5 else counts
-    xs = [-math.log(float(eps)) for eps, _ in fit]
-    ys = [math.log(n) for _, n in fit]
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return BoxCountResult(slope, tuple(counts), len(fit))
+    return _fit(counts)
 
 
 def box_count_for_alphabet(
     a: ComboAlphabet, depth: int, scale_exponents: list[int]
 ) -> BoxCountResult:
     """Box-count the alphabet's set from its depth-`depth` prefix hulls
-    at scales s**-j for the given exponents j."""
+    at scales s**-j for the given exponents j.
+
+    Same counts and slope as `box_count_estimate` over the
+    `enumerate_prefixes` hulls, computed in integers: the frontier hull
+    of num / s**n meets the boxes floor((num*q + p) * s**J / (q * s**n))
+    at the finest exponent J, p in {p_lo, p_hi}, and box i there lies
+    in box i // s**(J-j) at exponent j.
+    """
     for j in scale_exponents:
         if type(j) is not int or j < 0:
             raise ScaleMismatchError(f"scale exponent {j!r} must be an int >= 0")
-    hulls = [h for h, _ in enumerate_prefixes(a, depth)]
-    scales = [Fraction(1, a.s**j) for j in scale_exponents]
-    return box_count_estimate(hulls, scales)
+    frontier = _frontier(a, depth, "depth")
+    s = a.s
+    scales = _checked_scales([Fraction(1, s**j) for j in scale_exponents])
+    exps = sorted(scale_exponents)  # coarse first, as `scales`
+    fine = exps[-1]
+    q, p_lo, p_hi = _extrema_q(a)
+    # box index at the finest scale: (num*q + p) * mul[n] // div[n]
+    mul = [s ** max(fine - n, 0) for n in range(depth + 1)]
+    div = [q * s ** max(n - fine, 0) for n in range(depth + 1)]
+    boxes: set[int] = set()
+    n_min = depth
+    for num, n, _ in frontier:
+        top = num * q
+        boxes.add((top + p_lo) * mul[n] // div[n])
+        boxes.add((top + p_hi) * mul[n] // div[n])
+        if n < n_min:
+            n_min = n
+    # the widest hull, (p_hi - p_lo) / (q * s**n_min), is at most s**-J
+    if (p_hi - p_lo) * s**fine > q * s**n_min:
+        raise _width_error(Fraction(p_hi - p_lo, q * s**n_min), scales[-1])
+    counts = [len(boxes)]
+    for j, coarser in zip(reversed(exps), reversed(exps[:-1])):
+        m = s ** (j - coarser)
+        boxes = {i // m for i in boxes}
+        counts.append(len(boxes))
+    return _fit(list(zip(scales, reversed(counts))))

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,16 @@ class TestSubcommands:
 
     def test_measure_budget_exit(self):
         assert main(["measure", "--s", "4", "--u", "0", "--k", "12"]) == 2
+
+    def test_boxcount_frontier_budget_exit(self, capsys):
+        # about 1.7e20 frontier prefixes: refused from the length
+        # histogram alone, before any prefix is built
+        t0 = time.perf_counter()
+        assert main(["boxcount", "--alphabet", "tilde:9", "--depth", "40"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "171774086543076382009 frontier prefixes" in err
+        assert "Traceback" not in err
 
     def test_freq_payload(self):
         code, text = run_cli(

@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sadicsets import (
+    FRONTIER_BUDGET,
     ComboAlphabet,
+    DigitString,
+    ExtremaFalsificationError,
     InvalidDigitError,
+    ResourceBudgetError,
     WordError,
+    audit_extrema,
     combo_cylinder,
     comboset_extrema,
     enumerate_prefixes,
@@ -17,7 +22,39 @@ from sadicsets import (
     set_extrema,
     sprime3_alphabet,
     tilde_alphabet,
+    digits_to_rational,
 )
+from sadicsets.combos import _frontier_size
+
+
+@st.composite
+def small_alphabets(draw):
+    """Alphabets of 1-4 words of length 1-3 over base 2-5, prefix-free
+    or not."""
+    s = draw(st.integers(2, 5))
+    word = st.lists(st.integers(0, s - 1), min_size=1, max_size=3).map(tuple)
+    words = draw(st.sets(word, min_size=1, max_size=4))
+    return ComboAlphabet(s, tuple(sorted(words)))
+
+
+def _reference_prefixes(a, depth):
+    """Every (hull, prefix) of the depth window, by recursion over word
+    tuples with `Fraction` values, sorted by (hull.lower, prefix)."""
+    tails = [digits_to_rational(DigitString(a.s, (), w)) for w in a.combos]
+    lo, hi = min(tails), max(tails)
+    out = []
+
+    def grow(prefix, n):
+        for w in a.combos:
+            pre, m = prefix + (w,), n + len(w)
+            if m <= depth - a.max_len:
+                grow(pre, m)
+                continue
+            v = digits_to_rational(DigitString(a.s, sum(pre, ())))
+            out.append(((v + lo / a.s**m, v + hi / a.s**m), pre))
+
+    grow((), 0)
+    return sorted(out, key=lambda item: (item[0][0], item[1]))
 
 
 class TestAlphabets:
@@ -81,6 +118,15 @@ class TestExtrema:
     def test_tilde_four(self):
         e = comboset_extrema(tilde_alphabet(4))
         assert (e.inf, e.sup) == (Fraction(1, 21), Fraction(14, 15))
+
+    def test_audit_reports_the_offending_prefix(self):
+        a = sprime3_alphabet()
+        inf, sup = Fraction(7, 26), Fraction(11, 26)
+        assert audit_extrema(a, inf, sup, 9) == _frontier_size(a, 9) == 8
+        with pytest.raises(ExtremaFalsificationError, match="prefix 021 yields hull"):
+            audit_extrema(a, inf + Fraction(1, 10**6), sup, 3)
+        with pytest.raises(ExtremaFalsificationError, match="prefix 102 yields hull"):
+            audit_extrema(a, inf, sup - Fraction(1, 10**6), 3)
 
     def test_deeper_audit_passes(self):
         e = comboset_extrema(sprime3_alphabet(), audit_digits=12)
@@ -160,3 +206,27 @@ class TestEnumeratePrefixes:
             assert depth - a.max_len < total <= depth
             # minimality: the parent prefix had not yet entered the window
             assert total - len(p[-1]) <= depth - a.max_len
+
+    @given(small_alphabets(), st.integers(0, 6))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_fraction_reference(self, a, extra):
+        depth = a.max_len + extra
+        pre = enumerate_prefixes(a, depth)
+        assert pre == _reference_prefixes(a, depth)
+        assert len(pre) == _frontier_size(a, depth)
+
+    def test_budget_refuses_before_enumerating(self):
+        a = tilde_alphabet(9)
+        assert _frontier_size(a, 40) == 171_774_086_543_076_382_009
+        for call in (
+            lambda: enumerate_prefixes(a, 40),
+            lambda: audit_extrema(a, Fraction(0), Fraction(1), 40),
+        ):
+            with pytest.raises(ResourceBudgetError) as err:
+                call()
+            assert "171774086543076382009" in str(err.value)
+            assert str(FRONTIER_BUDGET) in str(err.value)
+
+    def test_budget_admits_the_cli_default(self):
+        # `boxcount --alphabet tilde:5` at its default depth 12
+        assert _frontier_size(tilde_alphabet(5), 12) == 55_789 <= FRONTIER_BUDGET

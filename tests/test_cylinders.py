@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sadicsets import (
     BlockSequence,
+    DigitString,
     InvalidBaseError,
     NotAMemberError,
     RangeError,
@@ -18,12 +19,100 @@ from sadicsets import (
     cylinder_diameter,
     cylinder_endpoints,
     cylinder_order,
+    digits_to_rational,
     element_value,
     extension_value_bounds,
     gap_interval,
     point_locate,
     set_extrema,
 )
+from sadicsets.cylinders import LocateResult
+
+
+def _reference_locate(x, s, u, depth):
+    """`point_locate` by `Fraction` arithmetic alone: each child hull is
+    tau + s**-C * [inf0, sup0], tau the value of the C digits of its
+    block words; children are sorted by inf and the first one holding x
+    is taken."""
+    x = Fraction(x)
+    lo0, hi0 = set_extrema(s, u)
+    if not lo0 <= x <= hi0:
+        return LocateResult(
+            "excluded", hull=(lo0, hi0), detail="outside the hull of the whole set"
+        )
+    chain = ()
+    for _ in range(depth):
+        kids = []
+        for c in block_alphabet(s, u):
+            digits = sum(((u,) * (b - 1) + (b,) for b in chain + (c,)), ())
+            tau = digits_to_rational(DigitString(s, digits))
+            scale = Fraction(1, s ** len(digits))
+            kids.append((tau + scale * lo0, tau + scale * hi0, c))
+        kids.sort(key=lambda k: k[0])
+        nxt = next((k for k in kids if k[0] <= x <= k[1]), None)
+        if nxt is None:
+            a, b = next((a, b) for a, b in zip(kids, kids[1:]) if a[1] < x < b[0])
+            return LocateResult(
+                "excluded",
+                chain=chain,
+                gap=(a[1], b[0]),
+                detail=f"in the gap between sibling blocks {a[2]} and {b[2]}",
+            )
+        lo, hi, c = nxt
+        chain += (c,)
+    if x in (lo, hi):
+        which = "inf" if x == lo else "sup"
+        return LocateResult(
+            "inside",
+            chain=chain,
+            hull=(lo, hi),
+            detail=f"equals the {which} of its depth-{depth} cylinder",
+        )
+    return LocateResult(
+        "undecided-at-depth",
+        chain=chain,
+        hull=(lo, hi),
+        detail=f"interior to its depth-{depth} hull; membership unresolved",
+    )
+
+
+_STATUS = {
+    "endpoint": "inside",
+    "gap": "excluded",
+    "interior": "undecided-at-depth",
+}
+
+
+@st.composite
+def located_points(draw):
+    """(kind, x, s, u, depth): x a random rational, a member value, the
+    inf or sup of a depth-`depth` cylinder (inside), the midpoint of one
+    (undecided), or a point in a gap between sibling hulls (excluded)."""
+    s = draw(st.integers(3, 7))
+    u = draw(st.integers(0, s - 1))
+    depth = draw(st.integers(1, 12))
+    alphabet = list(block_alphabet(s, u))
+    kinds = ["rational", "member", "endpoint"]
+    if len(alphabet) > 1:  # a one-block set is a point: no interior, no gaps
+        kinds += ["gap", "interior"]
+    kind = draw(st.sampled_from(kinds))
+    blocks = st.lists(st.sampled_from(alphabet), min_size=depth, max_size=depth)
+    if kind == "rational":
+        den = draw(st.integers(1, 10**9))
+        x = Fraction(draw(st.integers(0, den)), den)
+    elif kind == "member":
+        pre = tuple(draw(st.lists(st.sampled_from(alphabet), max_size=8)))
+        tail = tuple(draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=3)))
+        x = element_value(BlockSequence(s, u, pre, tail))
+    elif kind == "gap":
+        base = tuple(draw(blocks))[: draw(st.integers(0, depth - 1))]
+        kids = sorted(cylinder_endpoints(s, u, base + (c,)) for c in alphabet)
+        i = draw(st.integers(0, len(kids) - 2))
+        x = (kids[i][1] + kids[i + 1][0]) / 2
+    else:
+        lo, hi = cylinder_endpoints(s, u, tuple(draw(blocks)))
+        x = (lo + hi) / 2 if kind == "interior" else draw(st.sampled_from([lo, hi]))
+    return kind, x, s, u, depth
 
 
 @st.composite
@@ -243,6 +332,24 @@ class TestPointLocate:
         r = point_locate(x, s, 0, depth=10)
         assert r.status != "excluded"
         assert r.hull == cylinder_endpoints(s, 0, r.chain)
+
+    @given(located_points())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_fraction_descent(self, case):
+        kind, x, s, u, depth = case
+        got = point_locate(x, s, u, depth)
+        assert got == _reference_locate(x, s, u, depth)
+        if kind in _STATUS:
+            assert got.status == _STATUS[kind]
+        if kind == "gap":
+            assert got.gap is not None
+        if kind == "member":
+            assert got.status != "excluded"
+
+    @pytest.mark.parametrize("x", ["x", None, "1/0", float("nan"), float("inf")])
+    def test_non_rational_point_is_a_range_error(self, x):
+        with pytest.raises(RangeError):
+            point_locate(x, 3, 0, 5)
 
     def test_extremal_members_certified(self):
         # repeating block 1 and block 2 attain sup and inf for s=3

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sadicsets import (
+    ComboAlphabet,
     InvalidBaseError,
     MoranEquation,
     ScaleMismatchError,
@@ -17,6 +18,7 @@ from sadicsets import (
     dim_S,
     dim_alphabet,
     dim_tilde,
+    enumerate_prefixes,
     induced_alphabet,
     moran_solve,
     sprime3_alphabet,
@@ -238,6 +240,47 @@ class TestBoxCounting:
         for exponents in ([-3, 4, 5, 6], [4, 5, 6, 1.5], [4, 5, True]):
             with pytest.raises(ScaleMismatchError):
                 box_count_for_alphabet(induced_alphabet(3, 0), 8, exponents)
+
+    @given(
+        st.integers(2, 5),
+        st.data(),
+        st.integers(0, 7),
+        st.lists(st.integers(0, 9), min_size=2, max_size=5),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_integer_counts_match_fraction_hulls(self, s, data, extra, exponents):
+        word = st.lists(st.integers(0, s - 1), min_size=1, max_size=3).map(tuple)
+        words = data.draw(st.sets(word, min_size=1, max_size=4))
+        a = ComboAlphabet(s, tuple(sorted(words)))
+        depth = a.max_len + extra
+        hulls = [h for h, _ in enumerate_prefixes(a, depth)]
+        scales = [Fraction(1, s**j) for j in exponents]
+
+        def outcome(count):
+            try:
+                return count()
+            except ScaleMismatchError as e:
+                return str(e)
+
+        got = outcome(lambda: box_count_for_alphabet(a, depth, exponents))
+        assert got == outcome(lambda: box_count_estimate(hulls, scales))
+        if isinstance(got, str):
+            return
+        # the same boxes, counted from the Fraction hulls one scale at a time
+        for eps, n in got.counts:
+            boxes = set()
+            for lo, hi in hulls:
+                boxes.update(range(math.floor(lo / eps), math.floor(hi / eps) + 1))
+            assert n == len(boxes)
+
+    def test_hulls_as_wide_as_the_finest_scale(self):
+        # {0, 1} base 2 fills [0, 1]: each depth-6 hull is exactly one
+        # finest box wide, and its upper end meets the next box
+        a = ComboAlphabet(2, ("0", "1"))
+        r = box_count_for_alphabet(a, 6, [4, 5, 6])
+        assert [n for _, n in r.counts] == [17, 33, 65]
+        hulls = [h for h, _ in enumerate_prefixes(a, 6)]
+        assert r == box_count_estimate(hulls, [Fraction(1, 2**j) for j in (4, 5, 6)])
 
     def test_counts_are_coarse_to_fine(self):
         r = box_count_for_alphabet(induced_alphabet(3, 0), 12, range(4, 11))

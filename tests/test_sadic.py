@@ -19,18 +19,24 @@ from sadicsets import (
     NotAMemberError,
     RangeError,
     SadicError,
+    audit_extrema,
     block_alphabet,
     block_decode,
     block_encode,
+    box_count_for_alphabet,
+    comboset_extrema,
     cover_stage,
     digit_frequencies,
     digits_to_rational,
     element_value,
+    enumerate_prefixes,
     extension_value_bounds,
+    induced_alphabet,
     measure_decay_report,
     normal_candidate_exists,
     point_locate,
     rational_to_digits,
+    sprime3_alphabet,
     structural_identity_residual,
     structural_zero_frequency,
     tilde_alphabet,
@@ -304,6 +310,12 @@ class TestElementValue:
 
 
 _PERIODIC = DigitString(3, (1,), (2,))
+_SPRIME3 = sprime3_alphabet()
+
+
+def box_count_at_depth(depth):
+    return box_count_for_alphabet(induced_alphabet(3, 0), depth, [4, 5, 6])
+
 
 # (function, leading arguments, a valid int for the last argument)
 _INT_ARGUMENTS = [
@@ -315,6 +327,10 @@ _INT_ARGUMENTS = [
     (measure_decay_report, (3, 0), 2),
     (extension_value_bounds, (3, 0, ()), 2),
     (point_locate, (Fraction(1, 3), 3, 0), 2),
+    (enumerate_prefixes, (_SPRIME3,), 6),
+    (audit_extrema, (_SPRIME3, Fraction(7, 26), Fraction(11, 26)), 6),
+    (comboset_extrema, (_SPRIME3,), 6),
+    (box_count_at_depth, (), 8),
     (rational_to_digits, (Fraction(1, 3), 3), 2),
     (_PERIODIC.digits, (), 2),
     (digit_frequencies, (_PERIODIC,), 2),
