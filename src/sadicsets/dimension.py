@@ -29,8 +29,15 @@ from fractions import Fraction
 import numpy as np
 
 from .combos import ComboAlphabet, Interval, _extrema_q, _frontier, tilde_alphabet
-from .errors import InvalidBaseError, ScaleMismatchError
+from .errors import InvalidBaseError, ResourceBudgetError, ScaleMismatchError
 from .sadic import Rational, _require_int, block_alphabet, rational_json
+
+
+# Most bit-steps one `moran_solve` may take (`_solve_cost`).  At the
+# budget, a base-3 alphabet of one-digit words and one 6,000-digit word
+# takes about 0.3 s (2 cores, Python 3.11); a 2,000-digit word costs
+# under a third of it, a 20,000-digit word over three times it.
+SOLVE_BUDGET = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,27 @@ def _alpha(m: int, b: int, s: int) -> float:
     return -(frac + e * math.log(2)) / math.log(s)
 
 
+def _solve_cost(counts, m: int) -> tuple[int, int, int]:
+    """Estimated (steps, bits, cost) of bisecting P(t) = 1 for m >= 2
+    words, from the counts alone.
+
+    Some term of P(t) = 1 is at least 1/c (c distinct lengths), so
+    log2(1/t) <= max_k bits(c N_k) / k; and m - 1 = P(1) - P(t) <=
+    P'(1) (1 - t), so log2(1/(1-t)) <= bits(sum_k k N_k // (m-1)).  The
+    bisection stops once t (1-t) >= 2**(55-b), which bounds its steps.
+    Each step multiplies integers of up to ``bits`` = steps*K +
+    bits(max N_k), K the longest word, once in full and once per
+    distinct length by a factor of a word or two: ``cost`` counts
+    steps * bits * (1 + c/64) bit-steps.
+    """
+    c = len(counts)
+    near_zero = max(-(-(c * n).bit_length() // k) for k, n in counts)
+    near_one = (sum(k * n for k, n in counts) // (m - 1)).bit_length()
+    steps = 57 + near_zero + near_one
+    bits = steps * counts[-1][0] + max(n for _, n in counts).bit_length()
+    return steps, bits, steps * bits * (64 + c) // 64
+
+
 def moran_solve(eq: MoranEquation) -> DimensionResult:
     """Certified root of F(alpha) = 1, by bisection on t = s**-alpha.
 
@@ -138,9 +166,17 @@ def moran_solve(eq: MoranEquation) -> DimensionResult:
     at most 2**-b / (t |ln t|), so stopping at m (2**b - m - 1) >=
     2**(b+55) pins alpha, read off the midpoint, to double precision.
     A single word gives alpha = 0, an interval-tiling alphabet alpha = 1.
+    Any other equation is refused with `ResourceBudgetError`, before any
+    big-integer work, when its estimated cost exceeds `SOLVE_BUDGET`.
     """
     if eq.m == 1:
         return DimensionResult(0.0, 0.0, (0.0, 0.0), "0", (Fraction(1),) * 2)
+    steps, bits, cost = _solve_cost(eq.counts, eq.m)
+    if cost > SOLVE_BUDGET:
+        raise ResourceBudgetError(
+            f"solving would take about {steps} bisection steps over "
+            f"{bits}-bit sums, {cost} bit-steps; budget is {SOLVE_BUDGET}"
+        )
     if eq.value_at_one() == 1:
         return DimensionResult(1.0, 0.0, (1.0, 1.0), "1", (Fraction(1, eq.s),) * 2)
     top = eq.counts[-1][0]
@@ -210,10 +246,12 @@ def _checked_scales(scales) -> list[Fraction]:
     return scales
 
 
-def _width_error(widest: Rational, finest: Rational) -> ScaleMismatchError:
+def _width_error(
+    widest: Rational, finest: Rational, hint: str = ""
+) -> ScaleMismatchError:
     return ScaleMismatchError(
         f"hull width {widest} exceeds finest scale {finest}; "
-        "enumerate deeper or coarsen the scales"
+        f"enumerate deeper or coarsen the scales{hint}"
     )
 
 
@@ -289,7 +327,14 @@ def box_count_for_alphabet(
             n_min = n
     # the widest hull, (p_hi - p_lo) / (q * s**n_min), is at most s**-J
     if (p_hi - p_lo) * s**fine > q * s**n_min:
-        raise _width_error(Fraction(p_hi - p_lo, q * s**n_min), scales[-1])
+        resolved = n_min  # p_hi - p_lo <= q, so exponent n_min is resolved
+        while (p_hi - p_lo) * s ** (resolved + 1) <= q * s**n_min:
+            resolved += 1
+        raise _width_error(
+            Fraction(p_hi - p_lo, q * s**n_min),
+            scales[-1],
+            f"; the finest exponent depth {depth} resolves is {resolved}",
+        )
     counts = [len(boxes)]
     for j, coarser in zip(reversed(exps), reversed(exps[:-1])):
         m = s ** (j - coarser)

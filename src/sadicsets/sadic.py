@@ -305,12 +305,27 @@ def rational_to_digits(x: Rational, s: int, n: int | None = None) -> DigitString
     return DigitString(s, tuple(digits[:start]), tuple(digits[start:]))
 
 
+def _new(cls, **fields):
+    # Trusted construction of a frozen codec value, skipping
+    # `__post_init__`: only for fields the codec has just built from a
+    # validated value or checked digit by digit.
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+# Callers pass validated int blocks, so the cache needs no type key.
+@lru_cache(maxsize=1024)
+def _block_word(c: int, u: int) -> tuple[int, ...]:
+    """The digit word u^(c-1) c of block c."""
+    return (u,) * (c - 1) + (c,)
+
+
 def _block_words(blocks: tuple[int, ...], u: int) -> tuple[int, ...]:
-    out: list[int] = []
+    out: tuple[int, ...] = ()
     for c in blocks:
-        out.extend([u] * (c - 1))
-        out.append(c)
-    return tuple(out)
+        out += _block_word(c, u)
+    return out
 
 
 def block_encode(b: BlockSequence) -> DigitString:
@@ -318,7 +333,7 @@ def block_encode(b: BlockSequence) -> DigitString:
     u^(c-1) c; a repeating block tail becomes a repeating digit tail."""
     pre = _block_words(b.blocks, b.marker)
     per = _block_words(b.tail, b.marker) if b.tail is not None else None
-    return DigitString(b.base, pre, per)
+    return _new(DigitString, base=b.base, preperiod=pre, period=per)
 
 
 def _split_blocks(digits, s: int, u: int, run: int = 0, pos: int = 0):
@@ -365,27 +380,32 @@ def block_decode(d: DigitString, u: int) -> BlockSequence:
     result encodes the identical stream.
     """
     s = d.base
-    npre = len(d.preperiod)
-    blocks, run = _split_blocks(d.preperiod, s, u)
-    per = d.period
+    pre, per = d.preperiod, d.period
+    npre = len(pre)
     if per is None:
+        blocks, run = _split_blocks(pre, s, u)
         if run:
             raise NotAMemberError(npre, "stream ends inside an unfinished block")
-        return BlockSequence(s, u, tuple(blocks), None)
+        return _new(
+            BlockSequence, base=s, marker=u, blocks=tuple(blocks), tail=None
+        )
 
     # Past the period's first closer the run restarts at 0 on every
     # pass, so the block tail is the period rotated to start there.  When
-    # the preperiod ends a block and the period ends with a closer, the
-    # period is already block-aligned and needs no rotation.
-    j = next((i + 1 for i, digit in enumerate(per) if digit != u), None)
-    if j is None:
-        # No closer ever comes: max_block markers overflow any run.
-        _split_blocks(per * block_alphabet(s, u)[-1], s, u, run, npre)
-    if run == 0 and per[-1] != u:
+    # the preperiod ends a block (or is empty) and the period ends with a
+    # closer, the period is already block-aligned and needs no rotation.
+    if (pre and pre[-1] == u) or per[-1] == u:
+        j = next((i + 1 for i, digit in enumerate(per) if digit != u), None)
+        if j is None:
+            # No closer ever comes: max_block markers overflow any run.
+            _split_blocks(pre + per * block_alphabet(s, u)[-1], s, u)
+    else:
         j = 0
-    head, _ = _split_blocks(per[:j], s, u, run, npre)
+    blocks, _ = _split_blocks(pre + per[:j], s, u)
     tail, _ = _split_blocks(per[j:] + per[:j], s, u, 0, npre + j)
-    return BlockSequence(s, u, tuple(blocks + head), tuple(tail))
+    return _new(
+        BlockSequence, base=s, marker=u, blocks=tuple(blocks), tail=tuple(tail)
+    )
 
 
 def element_value(b: BlockSequence) -> Rational:
@@ -394,18 +414,29 @@ def element_value(b: BlockSequence) -> Rational:
     Includes the constant marker/(s-1) term of the defining series, so a
     finite b yields the partial sum of its (eventual) completions; a b
     with a repeating tail yields the exact limit.
+
+    Evaluated in integers by Horner's rule: over the blocks,
+    acc = acc * s**c + (c - u) gives sum_k (c_k - u) s**(D - D_k) with
+    D = sum(blocks) and D_k the k-th partial sum; over the tail the same
+    recurrence gives cyc, and with r = s**off - 1 (off = sum(tail),
+    r = 1 and cyc = 0 without a tail) the value is
+
+        (u s**D r + (s-1)(acc r + cyc)) / ((s-1) s**D r).
     """
     s, u = b.base, b.marker
-    val = Fraction(u, s - 1)
+    acc = 0
     depth = 0
     for c in b.blocks:
+        acc = acc * s**c + (c - u)
         depth += c
-        val += Fraction(c - u, s**depth)
+    r, cyc = 1, 0
     if b.tail is not None:
-        cycle = Fraction(0)
         off = 0
         for c in b.tail:
+            cyc = cyc * s**c + (c - u)
             off += c
-            cycle += Fraction(c - u, s**off)
-        val += Fraction(1, s**depth) * cycle * Fraction(s**off, s**off - 1)
-    return val
+        r = s**off - 1
+    scale = s**depth
+    return Fraction(
+        u * scale * r + (s - 1) * (acc * r + cyc), (s - 1) * scale * r
+    )

@@ -173,6 +173,25 @@ class TestSubcommands:
         assert "171774086543076382009 frontier prefixes" in err
         assert "Traceback" not in err
 
+    def test_boxcount_default_scales_name_the_resolved_exponent(self, capsys):
+        # the default scales 4..10 are finer than depth 12 resolves for
+        # these sets; the error names the exponent to stop at
+        for argv in (["--s", "5", "--u", "0"], ["--alphabet", "tilde:5"]):
+            assert main(["boxcount", *argv]) == 1
+            err = capsys.readouterr().err
+            assert "exceeds finest scale 1/9765625" in err
+            assert "the finest exponent depth 12 resolves is 9" in err
+            assert main(["boxcount", *argv, "--scales", "4..9"]) == 0
+            capsys.readouterr()
+
+    def test_dim_solve_budget_exit(self, tmp_path, capsys):
+        f = tmp_path / "long.json"
+        f.write_text(json.dumps({"s": 3, "combos": ["1", "2", "1" * 20000]}))
+        assert main(["dim", "--alphabet", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert "bit-steps; budget is" in err
+        assert "Traceback" not in err
+
     def test_freq_payload(self):
         code, text = run_cli(
             "freq", "--s", "3", "--period", "021", "--k", "300", "--u", "0"

@@ -1,6 +1,7 @@
 """Moran similarity-dimension solver and the box-counting oracle."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from sadicsets import (
     ComboAlphabet,
+    SOLVE_BUDGET,
     InvalidBaseError,
     MoranEquation,
+    ResourceBudgetError,
     ScaleMismatchError,
     box_count_estimate,
     box_count_for_alphabet,
@@ -24,6 +27,7 @@ from sadicsets import (
     sprime3_alphabet,
     tilde_alphabet,
 )
+from sadicsets.dimension import _solve_cost
 
 PHI = (math.sqrt(5.0) + 1.0) / 2.0
 
@@ -122,6 +126,41 @@ class TestMoranSolve:
         r = moran_solve(eq)
         _assert_certified(eq, r)
         assert r.alpha == 0.0005
+
+    def test_long_word_within_budget_solves(self):
+        # one-digit words 1 and 2 plus one 2,000-digit word: t = 1/2 - tiny
+        eq = MoranEquation(3, {1: 2, 2000: 1})
+        r = moran_solve(eq)
+        _assert_certified(eq, r)
+        assert abs(r.alpha - math.log(2) / math.log(3)) < 1e-12
+
+    def test_long_word_over_budget_is_refused_up_front(self):
+        a = ComboAlphabet(3, ((1,), (2,), (1,) * 20000))
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError) as exc:
+            dim_alphabet(a)
+        assert time.perf_counter() - t0 < 0.01
+        assert f"budget is {SOLVE_BUDGET}" in str(exc.value)
+        assert "74 bisection steps over 1480002-bit sums" in str(exc.value)
+
+    def test_trivial_regimes_skip_the_budget(self):
+        # a single word is alpha = 0 whatever its length
+        assert moran_solve(MoranEquation(3, {10**6: 1})).alpha == 0.0
+
+    @given(
+        st.integers(2, 12),
+        st.dictionaries(
+            st.integers(1, 80), st.integers(1, 10**60), min_size=2, max_size=6
+        ),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_step_estimate_bounds_the_bisection(self, s, counts):
+        eq = MoranEquation(s, counts)
+        if eq.value_at_one() == 1:
+            return
+        t_lo, t_hi = moran_solve(eq).t_bracket
+        steps = t_hi.denominator.bit_length() - 1
+        assert steps <= _solve_cost(eq.counts, eq.m)[0]
 
     def test_closed_forms_to_the_last_bit(self):
         for r, want in [
@@ -263,7 +302,16 @@ class TestBoxCounting:
                 return str(e)
 
         got = outcome(lambda: box_count_for_alphabet(a, depth, exponents))
-        assert got == outcome(lambda: box_count_estimate(hulls, scales))
+        want = outcome(lambda: box_count_estimate(hulls, scales))
+        if isinstance(want, str) and "exceeds finest scale" in want:
+            # the alphabet error also names the finest exponent its
+            # widest hull fits in
+            widest = max(hi - lo for lo, hi in hulls)
+            resolved = 0
+            while widest * s ** (resolved + 1) <= 1:
+                resolved += 1
+            want += f"; the finest exponent depth {depth} resolves is {resolved}"
+        assert got == want
         if isinstance(got, str):
             return
         # the same boxes, counted from the Fraction hulls one scale at a time
@@ -281,6 +329,20 @@ class TestBoxCounting:
         assert [n for _, n in r.counts] == [17, 33, 65]
         hulls = [h for h, _ in enumerate_prefixes(a, 6)]
         assert r == box_count_estimate(hulls, [Fraction(1, 2**j) for j in (4, 5, 6)])
+
+    def test_width_error_names_the_finest_resolved_exponent(self):
+        # depth 12 leaves frontier hulls of induced (5, 0) wider than
+        # 5**-10 but no wider than 5**-9
+        with pytest.raises(ScaleMismatchError) as exc:
+            box_count_for_alphabet(induced_alphabet(5, 0), 12, range(4, 11))
+        assert str(exc.value).endswith(
+            "; the finest exponent depth 12 resolves is 9"
+        )
+        box_count_for_alphabet(induced_alphabet(5, 0), 12, range(4, 10))
+        # {0, 1} base 2 at depth 6: hulls exactly 2**-6 wide resolve 6
+        with pytest.raises(ScaleMismatchError) as exc:
+            box_count_for_alphabet(ComboAlphabet(2, ("0", "1")), 6, [4, 5, 7])
+        assert str(exc.value).endswith("resolves is 6")
 
     def test_counts_are_coarse_to_fine(self):
         r = box_count_for_alphabet(induced_alphabet(3, 0), 12, range(4, 11))

@@ -1,5 +1,6 @@
 """Digit strings, the run-length block codec, and exact evaluation."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -276,6 +277,45 @@ class TestBlockCodec:
     def test_roundtrip(self, b):
         assert block_decode(block_encode(b), b.marker) == b
 
+    @given(block_sequences())
+    @settings(deadline=None)
+    def test_codec_values_match_public_construction(self, b):
+        # encode and decode skip re-validation of what they build; the
+        # values must still equal, hash and print as publicly built ones
+        d = block_encode(b)
+        public_d = DigitString(d.base, d.preperiod, d.period)
+        back = block_decode(d, b.marker)
+        public_b = BlockSequence(b.base, b.marker, back.blocks, back.tail)
+        for got, want in ((d, public_d), (back, public_b), (back, b)):
+            assert got == want
+            assert hash(got) == hash(want)
+            assert repr(got) == repr(want)
+        assert type(d.preperiod) is tuple and type(back.blocks) is tuple
+
+    def test_codec_values_stay_frozen(self):
+        d = block_encode(BlockSequence(4, 1, (3,), (2,)))
+        b = block_decode(d, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.base = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.blocks = (2,)
+
+    def test_public_construction_still_validates(self):
+        cases = [
+            (lambda: BlockSequence(3, 0, (0,)), InvalidBlockError,
+             "block 0 out of range 1..2"),
+            (lambda: DigitString(3, (3,)), InvalidDigitError,
+             "digit 3 out of range for base 3"),
+            (lambda: BlockSequence(3, 0, (True,)), InvalidBlockError,
+             "block True out of range 1..2"),
+        ]
+        block_decode(block_encode(BlockSequence(3, 0, (1, 2))), 0)
+        for build, error, message in cases:
+            with pytest.raises(error) as exc:
+                build()
+            assert type(exc.value) is error
+            assert str(exc.value) == message
+
     @given(block_sequences(with_tail=True))
     @settings(deadline=None)
     def test_encode_value_matches_element_value(self, b):
@@ -290,7 +330,58 @@ class TestBlockCodec:
         assert element_value(b) == prefix + tail
 
 
+def _series_value(b: BlockSequence) -> Fraction:
+    """The defining series u/(s-1) + sum_k (c_k - u) s**-(c_1+...+c_k),
+    summed term by term in `Fraction`s (the evaluation `element_value`
+    used before its integer Horner form)."""
+    s, u = b.base, b.marker
+    val = Fraction(u, s - 1)
+    depth = 0
+    for c in b.blocks:
+        depth += c
+        val += Fraction(c - u, s**depth)
+    if b.tail is not None:
+        cycle = Fraction(0)
+        off = 0
+        for c in b.tail:
+            off += c
+            cycle += Fraction(c - u, s**off)
+        val += Fraction(1, s**depth) * cycle * Fraction(s**off, s**off - 1)
+    return val
+
+
+def _words(blocks, u):
+    out = []
+    for c in blocks or ():
+        out += [u] * (c - 1) + [c]
+    return tuple(out)
+
+
 class TestElementValue:
+    def test_matches_series_and_digits(self):
+        # 30,000 seeded sequences: every base 3..9, every marker, 0-8
+        # blocks, finite and periodic
+        rng = random.Random(9)
+        n = 0
+        while n < 30000:
+            for s in range(3, 10):
+                for u in range(s):
+                    alphabet = block_alphabet(s, u)
+                    blocks = tuple(
+                        rng.choice(alphabet) for _ in range(rng.randint(0, 8))
+                    )
+                    tail = None
+                    if rng.random() < 0.5:
+                        tail = tuple(
+                            rng.choice(alphabet) for _ in range(rng.randint(1, 4))
+                        )
+                    b = BlockSequence(s, u, blocks, tail)
+                    value = element_value(b)
+                    assert value == _series_value(b), b
+                    digits = DigitString(s, _words(blocks, u), _words(tail, u) or (u,))
+                    assert value == digits_to_rational(digits), b
+                    n += 1
+
     def test_pure_period_one(self):
         # 0.(1) base 3
         assert element_value(BlockSequence(3, 0, (), (1,))) == Fraction(1, 2)
