@@ -23,12 +23,15 @@ hull endpoint becomes a `Fraction` only when an API returns it
 
 Frontier enumeration is refused with `ResourceBudgetError` when the
 exact frontier size, counted from the length histogram alone
-(`_frontier_size`), exceeds `FRONTIER_BUDGET`.
+(`_frontier_size`), exceeds `FRONTIER_BUDGET`; so is a built-in
+alphabet whose words, counted in closed form, would hold more than
+`FRONTIER_BUDGET` digits.
 
 Whole-set extrema follow the single-word periodic rule: the least and
 greatest element are attained by repeating one alphabet word forever.
 `comboset_extrema` always re-checks that rule by brute force against
-every prefix hull up to a configurable digit depth and raises
+every prefix hull up to the longest word plus three digits
+(`audit_extrema` takes any depth) and raises
 `ExtremaFalsificationError` with a witness if any hull pokes outside.
 """
 
@@ -53,17 +56,28 @@ from .sadic import (
     _block_words,
     _digits_int,
     _require_int,
+    _validate_marker,
     block_alphabet,
     digits_to_rational,
 )
 
 Interval = tuple[Rational, Rational]
 
-# Most frontier prefixes one enumeration may visit.  At the budget, box
-# counting takes about 1.5 s and `enumerate_prefixes`, which returns a
-# `Fraction` hull per prefix, about 10 s and 650 MB (2 cores, Python
-# 3.11); the CLI default `boxcount --alphabet tilde:5` needs 55,789.
+# Most frontier prefixes one enumeration may visit, and most digits a
+# built-in alphabet may hold.  At the budget, box counting takes about
+# 1.5 s and `enumerate_prefixes`, which returns a `Fraction` hull per
+# prefix, about 10 s and 650 MB (2 cores, Python 3.11); the CLI default
+# `boxcount --alphabet tilde:5` needs 55,789.
 FRONTIER_BUDGET = 1 << 20
+
+
+def _check_alphabet_digits(digits: int, what: str) -> None:
+    # Refuse, before a word is built, an alphabet of more digits than
+    # any frontier over it could be allowed to visit.
+    if digits > FRONTIER_BUDGET:
+        raise ResourceBudgetError(
+            f"{what} would hold {digits} digits, budget is {FRONTIER_BUDGET}"
+        )
 
 
 def parse_word(word) -> tuple[int, ...]:
@@ -155,6 +169,7 @@ def tilde_alphabet(s: int) -> ComboAlphabet:
     length 1 and s-1 of each length 2..s-1.
     """
     _require_int(s, 3, InvalidDigitError, "s")
+    _check_alphabet_digits(1 + (s - 1) * ((s - 1) * s // 2 - 1), f"tilde:{s}")
     words = []
     seen = set()
     for c in range(1, s):
@@ -178,6 +193,9 @@ def sprime3_alphabet() -> ComboAlphabet:
 def induced_alphabet(s: int, u: int) -> ComboAlphabet:
     """The (s, u) marker-run set expressed as a combination alphabet:
     words u^(c-1) c for the usable block values c."""
+    _validate_marker(s, u)
+    # the block values 1..s-1 without the marker sum to s(s-1)/2 - u
+    _check_alphabet_digits(s * (s - 1) // 2 - u, f"alphabet of (s={s}, u={u})")
     words = tuple(_block_words((c,), u) for c in block_alphabet(s, u))
     return ComboAlphabet(s, words)
 
@@ -219,7 +237,6 @@ def _word_value(a: ComboAlphabet, w: tuple[int, ...]) -> Rational:
     return digits_to_rational(DigitString(a.s, (), w))
 
 
-@lru_cache(maxsize=256)
 def _extrema_raw(a: ComboAlphabet) -> tuple[Rational, Rational, tuple, tuple]:
     lo = hi = None
     wlo = whi = None
@@ -342,20 +359,17 @@ def audit_extrema(
     return checked
 
 
-def comboset_extrema(
-    a: ComboAlphabet, audit_digits: int | None = None
-) -> ComboExtrema:
+def comboset_extrema(a: ComboAlphabet) -> ComboExtrema:
     """Least and greatest element of the set, with the single repeated
     words attaining them.
 
     The periodic rule is always audited by brute force over every
-    frontier prefix at ``audit_digits`` total digits (default: longest
-    word plus three); a violation raises `ExtremaFalsificationError`
-    rather than being absorbed.
+    frontier prefix at the longest word plus three total digits; a
+    violation raises `ExtremaFalsificationError` rather than being
+    absorbed.  `audit_extrema` audits at any other depth.
     """
     lo, hi, wlo, whi = _extrema_raw(a)
-    depth = audit_digits if audit_digits is not None else a.max_len + 3
-    audit_extrema(a, lo, hi, depth)
+    audit_extrema(a, lo, hi, a.max_len + 3)
     return ComboExtrema(lo, hi, wlo, whi)
 
 

@@ -88,15 +88,11 @@ def _set_extrema_q(s: int, u: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class Cylinder:
-    """Hull data of the cylinder fixing the block prefix ``base``.
-
-    ``tau`` is the exact value of the fixed digit prefix.
-    """
+    """Hull data of the cylinder fixing the block prefix ``base``."""
 
     s: int
     u: int
     base: tuple[int, ...]
-    tau: Rational
     inf: Rational
     sup: Rational
 
@@ -121,13 +117,7 @@ def cylinder(s: int, u: int, base) -> Cylinder:
     _validate_base(s, u, base)
     num, scale = _extend(s, (_block_words(base, u),))
     inf, sup = _hull(num, scale, _set_extrema_q(s, u))
-    return Cylinder(s, u, base, Fraction(num, scale), inf, sup)
-
-
-def cylinder_endpoints(s: int, u: int, base) -> tuple[Rational, Rational]:
-    """Exact (inf, sup) of the cylinder hull for the block prefix."""
-    cyl = cylinder(s, u, base)
-    return cyl.inf, cyl.sup
+    return Cylinder(s, u, base, inf, sup)
 
 
 def cylinder_diameter(s: int, u: int, base) -> Rational:
@@ -152,14 +142,6 @@ def cylinder_diameter(s: int, u: int, base) -> Rational:
     return d
 
 
-def children(s: int, u: int, base) -> list[Cylinder]:
-    """Direct refinements of ``base``, one per usable block value,
-    returned in block-value order."""
-    base = tuple(base)
-    _validate_base(s, u, base)
-    return [cylinder(s, u, base + (c,)) for c in block_alphabet(s, u)]
-
-
 def cylinder_order(s: int, u: int, base, p: int) -> str:
     """Relative position of the sibling cylinders with last blocks p and
     p+1: "increasing" when child p lies wholly below child p+1,
@@ -171,6 +153,7 @@ def cylinder_order(s: int, u: int, base, p: int) -> str:
     """
     base = tuple(base)
     alphabet = block_alphabet(s, u)
+    _require_int(p, 1, InvalidBaseError, "label p")
     if p not in alphabet or p + 1 not in alphabet:
         raise InvalidBaseError(
             f"labels {p} and {p + 1} must both be usable blocks for (s={s}, u={u})"
@@ -196,6 +179,14 @@ def cylinder_order(s: int, u: int, base, p: int) -> str:
     return verdict
 
 
+def _rational(x) -> Fraction:
+    """x as an exact `Fraction`, or `RangeError` if it is not a number."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise RangeError(f"point {x!r} is not a rational number") from None
+
+
 @dataclass(frozen=True)
 class GapInterval:
     """Open interval strictly between two adjacent marker-0 sibling
@@ -208,7 +199,7 @@ class GapInterval:
     upper: Rational  # inf of the child with last block p
 
     def __contains__(self, x) -> bool:
-        return self.lower < Fraction(x) < self.upper
+        return self.lower < _rational(x) < self.upper
 
     def to_json(self) -> dict:
         return {
@@ -224,7 +215,9 @@ def gap_interval(s: int, base, p: int) -> GapInterval:
     """The open gap between the marker-0 children p (above) and p+1
     (below) of ``base``; nonempty for every 1 <= p <= s-2."""
     base = tuple(base)
-    if not 1 <= p <= s - 2:
+    _validate_marker(s, 0)
+    _require_int(p, 1, InvalidBaseError, "p")
+    if p > s - 2:
         raise InvalidBaseError(f"p must lie in 1..{s - 2}, got {p}")
     above = cylinder(s, 0, base + (p,))
     below = cylinder(s, 0, base + (p + 1,))
@@ -273,10 +266,7 @@ def point_locate(x, s: int, u: int, depth: int) -> LocateResult:
     are built only for the hull or gap returned.
     """
     _require_int(depth, 1, InvalidBaseError, "depth")
-    try:
-        x = Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise RangeError(f"point {x!r} is not a rational number") from None
+    x = _rational(x)
     ext = q, p_lo, p_hi = _set_extrema_q(s, u)
     xn, xd = x.numerator, x.denominator
     lo_x, hi_x = p_lo * xd, p_hi * xd
@@ -347,7 +337,7 @@ def extension_value_bounds(
     Equivalent to enumerating every extension; computed by dynamic
     programming over the digit offset in integer arithmetic, so it stays
     feasible at depths where plain enumeration is not.  Serves as the
-    independent bracket oracle for `cylinder_endpoints`: both extrema of
+    independent bracket oracle for `cylinder`: both extrema of
     the cylinder lie within s**-(C + n_blocks) of these partial values.
     """
     base = tuple(base)

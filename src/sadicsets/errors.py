@@ -51,7 +51,7 @@ class ExtremaFalsificationError(SadicError):
 
 
 class ResourceBudgetError(SadicError):
-    """A requested computation exceeds the configured size budget."""
+    """A requested computation exceeds a fixed size budget."""
 
 
 class ScaleMismatchError(SadicError):

@@ -45,10 +45,6 @@ def rational_json(x: Rational) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator), "approx": float(x)}
 
 
-def rational_from_json(obj: dict) -> Rational:
-    return Fraction(int(obj["num"]), int(obj["den"]))
-
-
 def _digits_int(digits, s: int) -> int:
     # Integer value of a digit word read as a base-s numeral.
     acc = 0
@@ -314,17 +310,11 @@ def _new(cls, **fields):
     return obj
 
 
-# Callers pass validated int blocks, so the cache needs no type key.
-@lru_cache(maxsize=1024)
-def _block_word(c: int, u: int) -> tuple[int, ...]:
-    """The digit word u^(c-1) c of block c."""
-    return (u,) * (c - 1) + (c,)
-
-
 def _block_words(blocks: tuple[int, ...], u: int) -> tuple[int, ...]:
+    """The digit words u^(c-1) c of the blocks c, concatenated."""
     out: tuple[int, ...] = ()
     for c in blocks:
-        out += _block_word(c, u)
+        out += (u,) * (c - 1) + (c,)
     return out
 
 

@@ -173,6 +173,27 @@ class TestSubcommands:
         assert "171774086543076382009 frontier prefixes" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dim", "--alphabet", "tilde:129"],
+            ["dim", "--alphabet", "tilde:2000"],
+            ["boxcount", "--alphabet", "tilde:2000"],
+            ["boxcount", "--s", "30000", "--u", "0"],
+        ],
+    )
+    def test_oversized_alphabet_budget_exit(self, argv, capsys):
+        # the digit count comes from a closed form, before any word is
+        # built; the first call also warms up argparse
+        assert main(argv) == 2
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 0.01
+        err = capsys.readouterr().err
+        assert f"digits, budget is {sadicsets.FRONTIER_BUDGET}" in err
+        assert "Traceback" not in err
+
     def test_boxcount_default_scales_name_the_resolved_exponent(self, capsys):
         # the default scales 4..10 are finer than depth 12 resolves for
         # these sets; the error names the exponent to stop at

@@ -1,5 +1,6 @@
 """Finite-word alphabets, their set extrema, and prefix cylinders."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,35 @@ class TestAlphabets:
         a = tilde_alphabet(4)
         assert ComboAlphabet.from_json(a.to_json()) == a
 
+    def test_closed_form_digit_counts(self):
+        def digits(a):
+            return sum(len(w) for w in a.combos)
+
+        for s in range(3, 13):
+            assert digits(tilde_alphabet(s)) == 1 + (s - 1) * ((s - 1) * s // 2 - 1)
+            for u in range(s):
+                assert digits(induced_alphabet(s, u)) == s * (s - 1) // 2 - u
+
+    def test_largest_alphabets_within_budget_build(self):
+        assert sum(len(w) for w in tilde_alphabet(128).combos) == 1_032_130
+        assert sum(len(w) for w in induced_alphabet(1448, 0).combos) == 1_047_628
+
+    @pytest.mark.parametrize(
+        "build,digits",
+        [
+            (lambda: tilde_alphabet(129), 1_056_641),
+            (lambda: tilde_alphabet(2000), 3_995_999_002),
+            (lambda: induced_alphabet(1449, 0), 1_049_076),
+            (lambda: induced_alphabet(30000, 7), 449_984_993),
+        ],
+    )
+    def test_oversized_alphabet_refused_before_building(self, build, digits):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError) as err:
+            build()
+        assert time.perf_counter() - t0 < 0.01
+        assert f"would hold {digits} digits, budget is {FRONTIER_BUDGET}" in str(err.value)
+
 
 class TestExtrema:
     def test_sprime3(self):
@@ -129,8 +159,10 @@ class TestExtrema:
             audit_extrema(a, inf, sup - Fraction(1, 10**6), 3)
 
     def test_deeper_audit_passes(self):
-        e = comboset_extrema(sprime3_alphabet(), audit_digits=12)
+        a = sprime3_alphabet()
+        e = comboset_extrema(a)
         assert (e.inf, e.sup) == (Fraction(7, 26), Fraction(11, 26))
+        assert audit_extrema(a, e.inf, e.sup, 12) == _frontier_size(a, 12)
 
     @pytest.mark.parametrize("s", range(3, 9))
     def test_matches_marker_sets(self, s):

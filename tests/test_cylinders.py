@@ -14,10 +14,8 @@ from sadicsets import (
     NotAMemberError,
     RangeError,
     block_alphabet,
-    children,
     cylinder,
     cylinder_diameter,
-    cylinder_endpoints,
     cylinder_order,
     digits_to_rational,
     element_value,
@@ -106,11 +104,14 @@ def located_points(draw):
         x = element_value(BlockSequence(s, u, pre, tail))
     elif kind == "gap":
         base = tuple(draw(blocks))[: draw(st.integers(0, depth - 1))]
-        kids = sorted(cylinder_endpoints(s, u, base + (c,)) for c in alphabet)
+        kids = sorted(
+            (k.inf, k.sup) for k in (cylinder(s, u, base + (c,)) for c in alphabet)
+        )
         i = draw(st.integers(0, len(kids) - 2))
         x = (kids[i][1] + kids[i + 1][0]) / 2
     else:
-        lo, hi = cylinder_endpoints(s, u, tuple(draw(blocks)))
+        c = cylinder(s, u, tuple(draw(blocks)))
+        lo, hi = c.inf, c.sup
         x = (lo + hi) / 2 if kind == "interior" else draw(st.sampled_from([lo, hi]))
     return kind, x, s, u, depth
 
@@ -167,11 +168,13 @@ class TestCylinder:
         assert c.diameter == Fraction(1, 4)
 
     def test_worked_base_one(self):
-        assert cylinder_endpoints(3, 0, (1,)) == (Fraction(5, 12), Fraction(1, 2))
+        c = cylinder(3, 0, (1,))
+        assert (c.inf, c.sup) == (Fraction(5, 12), Fraction(1, 2))
         assert cylinder_diameter(3, 0, (1,)) == Fraction(1, 12)
 
     def test_worked_base_two(self):
-        assert cylinder_endpoints(3, 0, (2,)) == (Fraction(1, 4), Fraction(5, 18))
+        c = cylinder(3, 0, (2,))
+        assert (c.inf, c.sup) == (Fraction(1, 4), Fraction(5, 18))
 
     def test_worked_base_one_one(self):
         assert cylinder_diameter(3, 0, (1, 1)) == Fraction(1, 36)
@@ -197,7 +200,6 @@ class TestCylinder:
         c = cylinder(s, 0, base)
         assert c.inf == g + Fraction(s - 1, (s ** (s - 1) - 1) * s**depth)
         assert c.sup == g + Fraction(1, (s - 1) * s**depth)
-        assert c.tau == g
 
     @given(marked_bases())
     @settings(deadline=None)
@@ -211,8 +213,7 @@ class TestCylinder:
     def test_children_nest_and_scale(self, params):
         s, u, base = params
         parent = cylinder(s, u, base)
-        kids = children(s, u, base)
-        assert len(kids) == len(block_alphabet(s, u))
+        kids = [cylinder(s, u, base + (c,)) for c in block_alphabet(s, u)]
         for kid in kids:
             c = kid.base[-1]
             assert parent.inf <= kid.inf <= kid.sup <= parent.sup
@@ -222,7 +223,8 @@ class TestCylinder:
     @settings(deadline=None, max_examples=40)
     def test_endpoints_bracket_extension_bounds(self, params, depth):
         s, u, base = params
-        lo, hi = cylinder_endpoints(s, u, base)
+        c = cylinder(s, u, base)
+        lo, hi = c.inf, c.sup
         blo, bhi = extension_value_bounds(s, u, base, depth)
         slack = Fraction(1, s ** (sum(base) + depth))
         assert blo - slack <= lo <= blo + slack
@@ -247,11 +249,17 @@ class TestOrdering:
         with pytest.raises(InvalidBaseError):
             cylinder_order(3, 0, (), 2)
 
+    # floats and bools are rows of test_sadic's _INT_ARGUMENTS
+    @pytest.mark.parametrize("p", [None, "1"])
+    def test_rejects_non_int_label(self, p):
+        with pytest.raises(InvalidBaseError, match="label p must be an int"):
+            cylinder_order(3, 0, (), p)
+
     @given(marked_bases(max_rank=3))
     @settings(deadline=None)
     def test_adjacent_siblings_disjoint(self, params):
         s, u, base = params
-        kids = {k.base[-1]: k for k in children(s, u, base)}
+        kids = {c: cylinder(s, u, base + (c,)) for c in block_alphabet(s, u)}
         for p in sorted(kids):
             if p + 1 not in kids:
                 continue
@@ -270,7 +278,7 @@ class TestGaps:
 
     def test_gap_sits_between_children(self):
         g = gap_interval(3, (1,), 1)
-        kids = {k.base[-1]: k for k in children(3, 0, (1,))}
+        kids = {c: cylinder(3, 0, (1, c)) for c in block_alphabet(3, 0)}
         assert g.lower == kids[2].sup
         assert g.upper == kids[1].inf
 
@@ -284,6 +292,16 @@ class TestGaps:
         with pytest.raises(InvalidBaseError):
             gap_interval(3, (), 2)
 
+    @pytest.mark.parametrize("p", [None, "1", 0])
+    def test_rejects_non_int_or_low_rank(self, p):
+        with pytest.raises(InvalidBaseError, match="p must be an int >= 1"):
+            gap_interval(4, (), p)
+
+    @pytest.mark.parametrize("x", ["x", None, "1/0", float("nan"), float("inf")])
+    def test_non_rational_membership_is_a_range_error(self, x):
+        with pytest.raises(RangeError):
+            x in gap_interval(3, (), 1)
+
     @given(st.integers(3, 8), st.data())
     @settings(deadline=None)
     def test_gap_avoids_all_children(self, s, data):
@@ -293,7 +311,7 @@ class TestGaps:
         p = data.draw(st.integers(1, s - 2), label="p")
         g = gap_interval(s, base, p)
         assert g.lower < g.upper
-        for kid in children(s, 0, base):
+        for kid in (cylinder(s, 0, base + (c,)) for c in block_alphabet(s, 0)):
             assert kid.sup <= g.lower or kid.inf >= g.upper
 
 
@@ -331,7 +349,8 @@ class TestPointLocate:
         x = element_value(BlockSequence(s, 0, (), (c,)))
         r = point_locate(x, s, 0, depth=10)
         assert r.status != "excluded"
-        assert r.hull == cylinder_endpoints(s, 0, r.chain)
+        hull = cylinder(s, 0, r.chain)
+        assert r.hull == (hull.inf, hull.sup)
 
     @given(located_points())
     @settings(deadline=None, max_examples=300)

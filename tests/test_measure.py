@@ -1,5 +1,7 @@
 """Covering-stage lengths and the geometric decay of the marker sets."""
 
+import math
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -7,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sadicsets import measure
 from sadicsets import (
+    STAGE_BUDGET,
     RangeError,
     ResourceBudgetError,
     block_alphabet,
     cover_stage,
-    cylinder_endpoints,
+    cylinder,
     measure_decay_report,
     set_extrema,
     sigma,
@@ -55,12 +59,44 @@ class TestCoverStage:
         with pytest.raises(ResourceBudgetError):
             cover_stage(4, 0, 12)
 
-    def test_explicit_budget_override(self):
-        # a raised budget admits a stage the default refuses
-        with pytest.raises(ResourceBudgetError):
-            cover_stage(3, 0, 9, bit_budget=1 << 10)
-        stage = cover_stage(3, 0, 9, bit_budget=1 << 24)
-        assert stage.k == 9
+    @pytest.mark.parametrize("s,u,k", [(3, 0, 1030), (3, 0, 10**9), (40, 0, 200)])
+    def test_huge_stage_refused_at_once(self, s, u, k):
+        # the exact digit total has hundreds of decimal digits (or is a
+        # power with a billion-bit exponent): no float and no huge power
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError) as err:
+            cover_stage(s, u, k)
+        assert time.perf_counter() - t0 < 0.01
+        assert str(err.value).endswith(f"budget is {STAGE_BUDGET}")
+        assert len(str(err.value)) < 120
+
+    def test_verdicts_match_the_float_estimate(self, monkeypatch):
+        # The estimate it replaces: ceil(digits * log2(s)) bits against
+        # the budget, digits = k * |A|**(k-1) * sum(A).  A stage that
+        # passes the check reaches `_word_steps`, stubbed out here so no
+        # stage is built.
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr(measure, "_word_steps", admitted)
+        for s in range(3, 13):
+            for u in range(s):
+                alphabet = block_alphabet(s, u)
+                for k in range(1, 61):
+                    digits = k * len(alphabet) ** (k - 1) * sum(alphabet)
+                    refused = math.ceil(digits * math.log2(s)) > STAGE_BUDGET
+                    expected = ResourceBudgetError if refused else Admitted
+                    with pytest.raises(expected):
+                        cover_stage(s, u, k)
+        for s, k in ((3, 14), (4, 9), (5, 7), (6, 6)):
+            with pytest.raises(Admitted):
+                cover_stage(s, 0, k)
+        for s, k in ((3, 15), (4, 12)):
+            with pytest.raises(ResourceBudgetError):
+                cover_stage(s, 0, k)
 
     @given(st.integers(3, 5), st.integers(1, 4))
     @settings(deadline=None, max_examples=30)
@@ -80,7 +116,9 @@ class TestCoverStage:
     def test_intervals_are_cylinder_hulls(self, s, k):
         for u in range(s):
             bases = product(block_alphabet(s, u), repeat=k)
-            hulls = sorted(cylinder_endpoints(s, u, base) for base in bases)
+            hulls = sorted(
+                (c.inf, c.sup) for c in (cylinder(s, u, base) for base in bases)
+            )
             assert cover_stage(s, u, k).intervals == tuple(hulls)
 
     def test_intervals_disjoint_and_sorted(self):

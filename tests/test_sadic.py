@@ -4,12 +4,14 @@ import dataclasses
 import hashlib
 import json
 import random
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sadicsets
 from sadicsets import (
     BlockSequence,
     DigitString,
@@ -25,13 +27,14 @@ from sadicsets import (
     block_decode,
     block_encode,
     box_count_for_alphabet,
-    comboset_extrema,
     cover_stage,
+    cylinder_order,
     digit_frequencies,
     digits_to_rational,
     element_value,
     enumerate_prefixes,
     extension_value_bounds,
+    gap_interval,
     induced_alphabet,
     measure_decay_report,
     normal_candidate_exists,
@@ -418,9 +421,10 @@ _INT_ARGUMENTS = [
     (measure_decay_report, (3, 0), 2),
     (extension_value_bounds, (3, 0, ()), 2),
     (point_locate, (Fraction(1, 3), 3, 0), 2),
+    (gap_interval, (3, ()), 1),
+    (cylinder_order, (3, 0, ()), 1),
     (enumerate_prefixes, (_SPRIME3,), 6),
     (audit_extrema, (_SPRIME3, Fraction(7, 26), Fraction(11, 26)), 6),
-    (comboset_extrema, (_SPRIME3,), 6),
     (box_count_at_depth, (), 8),
     (rational_to_digits, (Fraction(1, 3), 3), 2),
     (_PERIODIC.digits, (), 2),
@@ -437,3 +441,22 @@ def test_int_arguments_reject_floats_and_bools(func, args, good):
     for bad in (float(good) + 0.5, float(good), True):
         with pytest.raises(SadicError):
             func(*args, bad)
+
+
+def test_all_lists_exactly_the_package_api():
+    # Every public name the package binds, its submodules aside, is in
+    # __all__ and vice versa; each comes from a package module except
+    # the `Rational` alias of `fractions.Fraction`.
+    bound = {
+        name
+        for name, obj in vars(sadicsets).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert len(sadicsets.__all__) == len(set(sadicsets.__all__))
+    assert set(sadicsets.__all__) == bound
+    for name in sadicsets.__all__:
+        obj = getattr(sadicsets, name)
+        if name == "Rational":
+            assert obj is Fraction
+        elif callable(obj):
+            assert obj.__module__.startswith("sadicsets."), name
