@@ -295,7 +295,10 @@ def _measure(config: RunConfig) -> _Result:
     s, u = _need_su(config)
     if config.k is None or config.k < 1:
         raise SadicError("measure needs --k >= 1")
-    stages = [cover_stage(s, u, k) for k in range(1, config.k + 1)]
+    # The stage budget grows with k, so stage k goes first: a refusal
+    # comes before any stage is built, and names stage k.
+    last = cover_stage(s, u, config.k)
+    stages = [cover_stage(s, u, k) for k in range(1, config.k)] + [last]
     params = {"s": s, "u": u, "k": config.k}
     body = {
         "stages": [

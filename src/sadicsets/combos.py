@@ -21,6 +21,15 @@ counting, covering stages, point location) stay in these integers; a
 hull endpoint becomes a `Fraction` only when an API returns it
 (`_hull`).
 
+The frontier at depth D (`_frontier`) is built level by level over
+digit totals: every word sequence of total n <= D - L, L the longest
+word, is a parent and is extended by each word; the sequences of total
+n in (D - L, D] are the frontier, handed out as one group of numerators
+per n.  Word paths ride along only for a caller that returns or reports
+words (`enumerate_prefixes`, and the audit once it has found a prefix
+outside the claim); box counting and the audit's integer test see
+numerators alone.
+
 Frontier enumeration is refused with `ResourceBudgetError` when the
 exact frontier size, counted from the length histogram alone
 (`_frontier_size`), exceeds `FRONTIER_BUDGET`; so is a built-in
@@ -64,10 +73,12 @@ from .sadic import (
 Interval = tuple[Rational, Rational]
 
 # Most frontier prefixes one enumeration may visit, and most digits a
-# built-in alphabet may hold.  At the budget, box counting takes about
-# 1.5 s and `enumerate_prefixes`, which returns a `Fraction` hull per
-# prefix, about 10 s and 650 MB (2 cores, Python 3.11); the CLI default
-# `boxcount --alphabet tilde:5` needs 55,789.
+# built-in alphabet may hold.  At the budget ({0, 1} in base 2 at depth
+# 20), box counting takes about 0.8 s and 110 MB above the interpreter,
+# the extrema audit 0.3 s and 65 MB, and `enumerate_prefixes`, which
+# returns a `Fraction` hull per prefix, 12-14 s and 730 MB (2 cores,
+# Python 3.11); the CLI default `boxcount --alphabet tilde:5` needs
+# 55,789.
 FRONTIER_BUDGET = 1 << 20
 
 
@@ -282,12 +293,14 @@ def _frontier_size(a: ComboAlphabet, max_digits: int) -> int:
     )
 
 
-def _frontier(a: ComboAlphabet, max_digits: int, what: str):
+def _frontier(a: ComboAlphabet, max_digits: int, what: str, words: bool = False):
     """Check ``max_digits`` (named ``what`` in errors) and the frontier
-    budget, then return an iterator of (num, n, path) over every word
-    sequence whose digit total n lands in (max_digits - L, max_digits],
-    L the longest word; the prefix value is num / s**n and ``path``
-    unrolls to its words with `_words`.
+    budget, then return an iterator over the frontier prefixes, one
+    group (n, nums, paths) per digit total n in
+    (max_digits - L, max_digits], L the longest word: the prefixes of
+    total n are num / s**n for num in ``nums``.  With ``words`` set,
+    ``paths`` lists the word sequence of each prefix in step with
+    ``nums``; otherwise it is None.
 
     Each infinite stream of alphabet words passes through exactly one
     such frontier prefix, so the frontier hulls cover the whole set.
@@ -299,32 +312,30 @@ def _frontier(a: ComboAlphabet, max_digits: int, what: str):
             f"{what} {max_digits} would enumerate {size} frontier prefixes, "
             f"budget is {FRONTIER_BUDGET}"
         )
-    return _walk(a, max_digits)
+    return _levels(a, max_digits, words)
 
 
-def _walk(a: ComboAlphabet, max_digits: int):
-    # Depth first, children in alphabet order.  A path is the cons cell
-    # (parent path, last word), so no word tuple is built per prefix.
+def _levels(a: ComboAlphabet, max_digits: int, words: bool):
+    # Level by level over digit totals: every prefix of total n <= low
+    # is a parent, extended by each word into level n + len(word); the
+    # levels above low are the frontier.  A parent level is dropped once
+    # extended.  The order within a level depends on the alphabet and
+    # the depth alone, so a walk with paths lists the same prefixes in
+    # the same order as one without.
     low = max_digits - a.max_len
-    steps = [(*st, w) for st, w in zip(_word_steps(a.s, a.combos), a.combos)]
-    stack = [(0, 0, None)]
-    while stack:
-        num, n, path = stack.pop()
-        for k, step, v, w in steps:
-            node = (num * step + v, n + k, (path, w))
-            if node[1] > low:
-                yield node
-            else:
-                stack.append(node)
-
-
-def _words(path) -> tuple[tuple[int, ...], ...]:
-    """The word sequence of a `_walk` path."""
-    out = []
-    while path is not None:
-        path, w = path
-        out.append(w)
-    return tuple(reversed(out))
+    steps = _word_steps(a.s, a.combos)
+    nums = [[0]] + [[] for _ in range(max_digits)]
+    paths = [[()]] + [[] for _ in range(max_digits)]
+    for n in range(low + 1):
+        level, nums[n] = nums[n], None
+        for k, step, v in steps:
+            nums[n + k] += [num * step + v for num in level]
+        if words:
+            level, paths[n] = paths[n], None
+            for (k, _, _), w in zip(steps, a.combos):
+                paths[n + k] += [path + (w,) for path in level]
+    for n in range(low + 1, max_digits + 1):
+        yield n, nums[n], paths[n] if words else None
 
 
 def audit_extrema(
@@ -337,25 +348,31 @@ def audit_extrema(
     value + s**-N * [inf, sup], so a violation of
     inf <= hull.lower and hull.upper <= sup falsifies the claim; the
     offending prefix is reported in the raised error.  With inf and sup
-    over one denominator q the test is the integer one
-    num*q + p_lo >= p_lo * s**N and num*q + p_hi <= p_hi * s**N.
+    over one denominator q, the prefix num / s**N passes exactly when
+    p_lo * (s**N - 1) <= num*q <= p_hi * (s**N - 1), so each level
+    passes when its least and greatest numerator do.
     """
     frontier = _frontier(a, max_digits, "audit depth")
     claim = q, p_lo, p_hi = _over_one_denominator(inf, sup)
-    pw = [a.s**n for n in range(max_digits + 1)]
-    lo_at = [p_lo * scale for scale in pw]
-    hi_at = [p_hi * scale for scale in pw]
     checked = 0
-    for num, n, path in frontier:
-        top = num * q
-        if top + p_lo < lo_at[n] or top + p_hi > hi_at[n]:
-            lo_hull, hi_hull = _hull(num, pw[n], claim)
-            words = " ".join(word_str(w) for w in _words(path))
+    for n, nums, _ in frontier:
+        room = a.s**n - 1
+        lo, hi = p_lo * room, p_hi * room
+        if nums and (min(nums) * q < lo or max(nums) * q > hi):
+            # the error path walks the frontier again, with paths
+            i = next(i for i, num in enumerate(nums) if not lo <= num * q <= hi)
+            paths = next(
+                paths
+                for m, _, paths in _frontier(a, max_digits, "audit depth", words=True)
+                if m == n
+            )
+            lo_hull, hi_hull = _hull(nums[i], a.s**n, claim)
+            words = " ".join(word_str(w) for w in paths[i])
             raise ExtremaFalsificationError(
                 f"prefix {words} yields hull [{lo_hull}, {hi_hull}] outside "
                 f"claimed extrema [{inf}, {sup}]"
             )
-        checked += 1
+        checked += len(nums)
     return checked
 
 
@@ -421,11 +438,12 @@ def enumerate_prefixes(
     prefix); their hulls cover the set.  The sort key is the integer
     hull.lower * q * s**max_digits.
     """
-    frontier = _frontier(a, max_digits, "max_digits")
+    frontier = _frontier(a, max_digits, "max_digits", words=True)
     ext = q, p_lo, _ = _extrema_q(a)
     pw = [a.s**n for n in range(max_digits + 1)]
     keyed = sorted(
-        ((num * q + p_lo) * pw[max_digits - n], _words(path), num, n)
-        for num, n, path in frontier
+        ((num * q + p_lo) * pw[max_digits - n], prefix, num, n)
+        for n, nums, paths in frontier
+        for num, prefix in zip(nums, paths)
     )
     return [(_hull(num, pw[n], ext), prefix) for _, prefix, num, n in keyed]

@@ -158,11 +158,17 @@ def cylinder_order(s: int, u: int, base, p: int) -> str:
         raise InvalidBaseError(
             f"labels {p} and {p + 1} must both be usable blocks for (s={s}, u={u})"
         )
-    lower = cylinder(s, u, base + (p,))
-    upper = cylinder(s, u, base + (p + 1,))
-    if lower.inf > upper.sup:
+    _validate_base(s, u, base)
+    q, p_lo, p_hi = _set_extrema_q(s, u)
+    low, _ = _extend(s, (_block_words(base + (p,), u),))
+    high, _ = _extend(s, (_block_words(base + (p + 1,), u),))
+    # child p+1 is one digit longer: over its denominator, the endpoints
+    # of child p gain a factor s
+    lower_inf, lower_sup = (low * q + p_lo) * s, (low * q + p_hi) * s
+    upper_inf, upper_sup = high * q + p_lo, high * q + p_hi
+    if lower_inf > upper_sup:
         verdict = _ORDER_DECREASING
-    elif lower.sup < upper.inf:
+    elif lower_sup < upper_inf:
         verdict = _ORDER_INCREASING
     else:
         raise SadicError("internal: adjacent children are not separated")

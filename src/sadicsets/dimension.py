@@ -14,10 +14,15 @@ and sum_k N_k s**-k = 1 (words tiling the interval) gives alpha = 1.
 `box_count_estimate` measures the covering exponent of actual interval
 hulls and serves as the empirical cross-check on the algebraic root; it
 never looks at the equation.  `box_count_for_alphabet` counts the same
-boxes straight from the integer prefix frontier of `combos`: each hull
-[num*q + p_lo, num*q + p_hi] / (q * s**n) is floor-divided once, at the
-finest scale s**-J, and every coarser box index follows by nesting,
-floor(y s**j) = floor(y s**J) // s**(J-j).
+boxes straight from the integer prefix frontier of `combos`, by digit
+truncation.  A frontier prefix y / s**n has the hull
+[y*q + p_lo, y*q + p_hi] / (q * s**n), with 0 <= p_lo <= p_hi <= q; for
+n >= J, s**-J the finest scale, it lies in [y, y+1] / s**n, and its
+endpoints meet the boxes (y + (p == q)) // s**(n-J): one floor division
+of a small integer per prefix, the box after y's only for an endpoint
+equal to 1.  A prefix with n < J, admitted when its hull is no wider
+than s**-J, keeps the exact (y*q + p) * s**(J-n) // q.  Every coarser
+box index follows by nesting, floor(x s**j) = floor(x s**J) // s**(J-j).
 """
 
 from __future__ import annotations
@@ -30,7 +35,13 @@ import numpy as np
 
 from .combos import ComboAlphabet, Interval, _extrema_q, _frontier, tilde_alphabet
 from .errors import InvalidBaseError, ResourceBudgetError, ScaleMismatchError
-from .sadic import Rational, _require_int, block_alphabet, rational_json
+from .sadic import (
+    Rational,
+    _require_int,
+    _validate_marker,
+    block_alphabet,
+    rational_json,
+)
 
 
 # Most bit-steps one `moran_solve` may take (`_solve_cost`).  At the
@@ -138,23 +149,46 @@ def _alpha(m: int, b: int, s: int) -> float:
 
 def _solve_cost(counts, m: int) -> tuple[int, int, int]:
     """Estimated (steps, bits, cost) of bisecting P(t) = 1 for m >= 2
-    words, from the counts alone.
-
-    Some term of P(t) = 1 is at least 1/c (c distinct lengths), so
-    log2(1/t) <= max_k bits(c N_k) / k; and m - 1 = P(1) - P(t) <=
-    P'(1) (1 - t), so log2(1/(1-t)) <= bits(sum_k k N_k // (m-1)).  The
-    bisection stops once t (1-t) >= 2**(55-b), which bounds its steps.
-    Each step multiplies integers of up to ``bits`` = steps*K +
-    bits(max N_k), K the longest word, once in full and once per
-    distinct length by a factor of a word or two: ``cost`` counts
-    steps * bits * (1 + c/64) bit-steps.
-    """
+    words, from the counts alone (`_bisection_cost`)."""
     c = len(counts)
-    near_zero = max(-(-(c * n).bit_length() // k) for k, n in counts)
-    near_one = (sum(k * n for k, n in counts) // (m - 1)).bit_length()
+    return _bisection_cost(
+        m,
+        c,
+        max(-(-(c * n).bit_length() // k) for k, n in counts),
+        sum(k * n for k, n in counts),
+        counts[-1][0],
+        max(n for _, n in counts),
+    )
+
+
+def _bisection_cost(
+    m: int, c: int, near_zero: int, moment: int, longest: int, most: int
+) -> tuple[int, int, int]:
+    """(steps, bits, cost) of bisecting P(t) = 1 for m >= 2 words of c
+    distinct lengths, the longest ``longest`` digits, at most ``most``
+    words of one length, ``moment`` = sum_k k N_k, and ``near_zero`` =
+    max_k ceil(bits(c N_k) / k).
+
+    Some term of P(t) = 1 is at least 1/c, so log2(1/t) <= near_zero;
+    and m - 1 = P(1) - P(t) <= P'(1) (1 - t), so log2(1/(1-t)) <=
+    bits(moment // (m-1)).  The bisection stops once t (1-t) >=
+    2**(55-b), which bounds its steps.  Each step multiplies integers of
+    up to ``bits`` = steps*K + bits(most), K the longest word, once in
+    full and once per distinct length by a factor of a word or two:
+    ``cost`` counts steps * bits * (1 + c/64) bit-steps.
+    """
+    near_one = (moment // (m - 1)).bit_length()
     steps = 57 + near_zero + near_one
-    bits = steps * counts[-1][0] + max(n for _, n in counts).bit_length()
+    bits = steps * longest + most.bit_length()
     return steps, bits, steps * bits * (64 + c) // 64
+
+
+def _check_solve_cost(steps: int, bits: int, cost: int) -> None:
+    if cost > SOLVE_BUDGET:
+        raise ResourceBudgetError(
+            f"solving would take about {steps} bisection steps over "
+            f"{bits}-bit sums, {cost} bit-steps; budget is {SOLVE_BUDGET}"
+        )
 
 
 def moran_solve(eq: MoranEquation) -> DimensionResult:
@@ -171,12 +205,7 @@ def moran_solve(eq: MoranEquation) -> DimensionResult:
     """
     if eq.m == 1:
         return DimensionResult(0.0, 0.0, (0.0, 0.0), "0", (Fraction(1),) * 2)
-    steps, bits, cost = _solve_cost(eq.counts, eq.m)
-    if cost > SOLVE_BUDGET:
-        raise ResourceBudgetError(
-            f"solving would take about {steps} bisection steps over "
-            f"{bits}-bit sums, {cost} bit-steps; budget is {SOLVE_BUDGET}"
-        )
+    _check_solve_cost(*_solve_cost(eq.counts, eq.m))
     if eq.value_at_one() == 1:
         return DimensionResult(1.0, 0.0, (1.0, 1.0), "1", (Fraction(1, eq.s),) * 2)
     top = eq.counts[-1][0]
@@ -195,7 +224,23 @@ def moran_solve(eq: MoranEquation) -> DimensionResult:
 
 def dim_S(s: int, u: int) -> DimensionResult:
     """Dimension of the (s, u) marker-run set: one word per usable block
-    value c, of digit length c."""
+    value c, of digit length c.
+
+    The solve cost is checked against `SOLVE_BUDGET` from s and u alone,
+    before the block alphabet or the equation is built.  The usable
+    blocks are 1..s-1 without u: m = s - 1 - (u > 0) distinct lengths of
+    one word each, summing to s(s-1)/2 - u; the shortest is 2 for u = 1
+    and 1 otherwise, the longest s - 2 for u = s-1 and s - 1 otherwise.
+    """
+    _validate_marker(s, u)
+    m = s - 1 - (u > 0)
+    if m >= 2:
+        shortest = 2 if u == 1 else 1
+        longest = s - 2 if u == s - 1 else s - 1
+        near_zero = -(-m.bit_length() // shortest)
+        _check_solve_cost(
+            *_bisection_cost(m, m, near_zero, s * (s - 1) // 2 - u, longest, 1)
+        )
     counts = {c: 1 for c in block_alphabet(s, u)}
     return moran_solve(MoranEquation(s, tuple(counts.items())))
 
@@ -300,10 +345,15 @@ def box_count_for_alphabet(
     at scales s**-j for the given exponents j.
 
     Same counts and slope as `box_count_estimate` over the
-    `enumerate_prefixes` hulls, computed in integers: the frontier hull
-    of num / s**n meets the boxes floor((num*q + p) * s**J / (q * s**n))
-    at the finest exponent J, p in {p_lo, p_hi}, and box i there lies
-    in box i // s**(J-j) at exponent j.
+    `enumerate_prefixes` hulls, computed in integers.  The frontier hull
+    of y / s**n has the endpoints (y*q + p) / (q * s**n), p in
+    {p_lo, p_hi}, and meets box floor((y*q + p) / (q * s**(n-J))) at
+    the finest exponent J.  For n >= J that box is
+    (y + (p == q)) // s**(n-J), as 0 <= p <= q: digit truncation, with
+    no q at all, and an endpoint reaches the next box only when it is 1.
+    A prefix with n < J, which the width check admits when its hull is
+    narrow enough, keeps the exact (y*q + p) * s**(J-n) // q.  Box i at
+    exponent J lies in box i // s**(J-j) at exponent j.
     """
     for j in scale_exponents:
         if type(j) is not int or j < 0:
@@ -314,17 +364,8 @@ def box_count_for_alphabet(
     exps = sorted(scale_exponents)  # coarse first, as `scales`
     fine = exps[-1]
     q, p_lo, p_hi = _extrema_q(a)
-    # box index at the finest scale: (num*q + p) * mul[n] // div[n]
-    mul = [s ** max(fine - n, 0) for n in range(depth + 1)]
-    div = [q * s ** max(n - fine, 0) for n in range(depth + 1)]
-    boxes: set[int] = set()
-    n_min = depth
-    for num, n, _ in frontier:
-        top = num * q
-        boxes.add((top + p_lo) * mul[n] // div[n])
-        boxes.add((top + p_hi) * mul[n] // div[n])
-        if n < n_min:
-            n_min = n
+    levels = [(n, nums) for n, nums, _ in frontier if nums]
+    n_min = levels[0][0]
     # the widest hull, (p_hi - p_lo) / (q * s**n_min), is at most s**-J
     if (p_hi - p_lo) * s**fine > q * s**n_min:
         resolved = n_min  # p_hi - p_lo <= q, so exponent n_min is resolved
@@ -335,6 +376,18 @@ def box_count_for_alphabet(
             scales[-1],
             f"; the finest exponent depth {depth} resolves is {resolved}",
         )
+    boxes: set[int] = set()
+    for n, nums in levels:
+        if n >= fine:
+            d = s ** (n - fine)
+            if p_lo < q:  # unless the set is {1}
+                boxes.update([y // d for y in nums])
+            if p_hi == q:  # the endpoint 1 carries into the next box
+                boxes.update([(y + 1) // d for y in nums])
+        else:
+            m = s ** (fine - n)
+            for p in (p_lo, p_hi):
+                boxes.update([(y * q + p) * m // q for y in nums])
     counts = [len(boxes)]
     for j, coarser in zip(reversed(exps), reversed(exps[:-1])):
         m = s ** (j - coarser)

@@ -12,11 +12,15 @@ of its predecessor's length, and
 
 an exact geometric decay witnessing zero Lebesgue measure.  Stage k is
 built level by level, extending each prefix numerator by every block
-word with the integer prefix kernel of `combos`.  Its hulls are put over
-the one denominator q * s**N, N the largest digit total of the stage,
-so sorting, the disjointness check and the interval-by-interval length
-all run on integers; that length is checked against the closed form
-exactly, and the intervals become `Fraction`s last.
+word with the integer prefix kernel of `combos`, and already in hull
+order: the words are sorted once by their rank-1 hulls, and each parent
+is followed by its children in that order.  Rank-k hulls are disjoint
+and nest in their parents', so the list comes out sorted.  Its hulls are
+put over the one denominator q * s**N, N the largest digit total of the
+stage, where one linear pass certifies the order: each hull's top lies
+strictly below the next hull's bottom, which proves sorted and disjoint
+at once.  The interval-by-interval length is checked against the closed
+form exactly, and the intervals become `Fraction`s last.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combos import Interval, _hull, _word_steps, induced_alphabet
+from .combos import Interval, _extend, _hull, _word_steps, induced_alphabet
 from .cylinders import _set_extrema_q, set_extrema
 from .errors import RangeError, ResourceBudgetError, SadicError
 from .sadic import Rational, _require_int, block_alphabet, rational_json
@@ -98,30 +102,35 @@ def cover_stage(s: int, u: int, k: int) -> CoverStage:
             f"{math.ceil(digits * math.log2(s))} denominator bits, "
             f"budget is {STAGE_BUDGET}"
         )
-    steps = _word_steps(s, induced_alphabet(s, u).combos)
-    prefixes = [(0, 0)]  # (num, n): the prefix value num / s**n
+    ext = q, p_lo, p_hi = _set_extrema_q(s, u)
+    # the words in the order of their rank-1 hulls
+    words = sorted(
+        induced_alphabet(s, u).combos, key=lambda w: _hull(*_extend(s, (w,)), ext)
+    )
+    steps = _word_steps(s, words)
+    # (num, n): the prefix value num / s**n, parents in hull order and
+    # each parent's children in word order
+    prefixes = [(0, 0)]
     for _ in range(k):
         prefixes = [
             (num * step + v, n + m) for num, n in prefixes for m, step, v in steps
         ]
-    ext = q, p_lo, p_hi = _set_extrema_q(s, u)
     top = max(n for _, n in prefixes)
     pw = [s**n for n in range(top + 1)]
-    # each hull as integers over q * s**top, then the prefix it came from
-    hulls = sorted(
-        ((num * q + p_lo) * pw[top - n], (num * q + p_hi) * pw[top - n], num, n)
-        for num, n in prefixes
-    )
-    for (_, hi_a, _, _), (lo_b, _, _, _) in zip(hulls, hulls[1:]):
-        if hi_a >= lo_b:
-            raise SadicError("internal: stage intervals are not disjoint")
-    total = Fraction(sum(hi - lo for lo, hi, _, _ in hulls), q * pw[top])
+    # each hull as integers over q * s**top
+    los = [(num * q + p_lo) * pw[top - n] for num, n in prefixes]
+    his = [(num * q + p_hi) * pw[top - n] for num, n in prefixes]
+    # each hull's top strictly below the next hull's bottom: sorted and
+    # disjoint at once
+    if any(hi_a >= lo_b for hi_a, lo_b in zip(his, los[1:])):
+        raise SadicError("internal: stage intervals are not disjoint")
+    total = Fraction(sum(hi - lo for lo, hi in zip(los, his)), q * pw[top])
     closed = sigma(s, u) ** k * Fraction(p_hi - p_lo, q)
     if total != closed:
         raise SadicError(
             "internal: direct stage length disagrees with sigma**k * d0"
         )
-    intervals = tuple(_hull(num, pw[n], ext) for _, _, num, n in hulls)
+    intervals = tuple(_hull(num, pw[n], ext) for num, n in prefixes)
     return CoverStage(s, u, k, intervals, total)
 
 

@@ -22,6 +22,7 @@ only in-range expansion is the repeating s-1 tail).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +34,7 @@ from .errors import (
     InvalidDigitError,
     NotAMemberError,
     RangeError,
+    ResourceBudgetError,
     SadicError,
 )
 
@@ -40,9 +42,27 @@ Rational = Fraction
 
 
 def rational_json(x: Rational) -> dict:
-    """Serialize an exact rational with a convenience double field."""
+    """Serialize an exact rational with a convenience double field.
+
+    An integer past the interpreter's limit on int-to-str conversion
+    (4,300 digits by default; the conversion is quadratic) is refused
+    with `ResourceBudgetError` naming its digit count.
+    """
     x = Fraction(x)
-    return {"num": str(x.numerator), "den": str(x.denominator), "approx": float(x)}
+    try:
+        num, den = str(x.numerator), str(x.denominator)
+    except ValueError:
+        big = max(abs(x.numerator), x.denominator)
+        # big >= 2**(bit_length - 1) and 0.30102 < log10(2): a lower
+        # bound on the digit count, then count up
+        digits = (big.bit_length() - 1) * 30102 // 100000
+        while big >= 10**digits:
+            digits += 1
+        raise ResourceBudgetError(
+            f"exact value holds a {digits}-digit integer, over the "
+            f"{sys.get_int_max_str_digits()}-digit limit for printing one"
+        ) from None
+    return {"num": num, "den": den, "approx": float(x)}
 
 
 def _digits_int(digits, s: int) -> int:

@@ -194,6 +194,27 @@ class TestSubcommands:
         assert f"digits, budget is {sadicsets.FRONTIER_BUDGET}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,seconds,message",
+        [
+            # stage 1030 is checked before stages 1..1029 are built
+            (["measure", "--s", "3", "--u", "0", "--k", "1030"], 0.05, "stage 1030 for (s=3, u=0)"),
+            # the solve cost comes from s and u, before any block is listed
+            (["dim", "--s", "1000000", "--u", "0"], 0.1, "bit-steps; budget is"),
+            # a 4,761-digit denominator cannot be printed
+            (["cylinder", "--s", "1500", "--u", "0", "--base", "1"], 1.0, "4761-digit integer"),
+        ],
+    )
+    def test_refused_without_a_traceback(self, argv, seconds, message, capsys):
+        assert main(argv) == 2  # the first call also warms up argparse
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < seconds
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_boxcount_default_scales_name_the_resolved_exponent(self, capsys):
         # the default scales 4..10 are finer than depth 12 resolves for
         # these sets; the error names the exponent to stop at

@@ -255,6 +255,18 @@ class TestOrdering:
         with pytest.raises(InvalidBaseError, match="label p must be an int"):
             cylinder_order(3, 0, (), p)
 
+    @pytest.mark.parametrize(
+        "s,u,base,p,message",
+        [
+            (3, 0, (3,), 1, "base entry 3 out of range 1..2"),
+            (5, 2, (2,), 3, "base entry 2 equals the marker digit"),
+            (5, 2, (1.0,), 3, "base entry 1.0 out of range 1..4"),
+        ],
+    )
+    def test_rejects_bad_base_entries(self, s, u, base, p, message):
+        with pytest.raises(InvalidBaseError, match=message):
+            cylinder_order(s, u, base, p)
+
     @given(marked_bases(max_rank=3))
     @settings(deadline=None)
     def test_adjacent_siblings_disjoint(self, params):

@@ -16,6 +16,7 @@ from sadicsets import (
     MoranEquation,
     ResourceBudgetError,
     ScaleMismatchError,
+    block_alphabet,
     box_count_estimate,
     box_count_for_alphabet,
     dim_S,
@@ -27,6 +28,7 @@ from sadicsets import (
     sprime3_alphabet,
     tilde_alphabet,
 )
+from sadicsets import dimension
 from sadicsets.dimension import _solve_cost
 
 PHI = (math.sqrt(5.0) + 1.0) / 2.0
@@ -142,6 +144,38 @@ class TestMoranSolve:
         assert time.perf_counter() - t0 < 0.01
         assert f"budget is {SOLVE_BUDGET}" in str(exc.value)
         assert "74 bisection steps over 1480002-bit sums" in str(exc.value)
+
+    def test_marker_budget_from_s_and_u_alone(self, monkeypatch):
+        # At a budget one below the built equation's cost, dim_S refuses
+        # with the same message before any block is listed; at the cost
+        # itself it admits.
+        def unbuilt(s, u):
+            raise AssertionError("block alphabet built before the budget check")
+
+        for s in range(3, 41):
+            for u in range(s):
+                eq = MoranEquation(s, {c: 1 for c in block_alphabet(s, u)})
+                if eq.m == 1:
+                    continue  # alpha = 0, with no solve to budget
+                cost = _solve_cost(eq.counts, eq.m)[2]
+                with monkeypatch.context() as m:
+                    m.setattr(dimension, "SOLVE_BUDGET", cost - 1)
+                    with pytest.raises(ResourceBudgetError) as built:
+                        moran_solve(eq)
+                    m.setattr(dimension, "block_alphabet", unbuilt)
+                    with pytest.raises(ResourceBudgetError) as closed:
+                        dim_S(s, u)
+                    assert str(closed.value) == str(built.value)
+                    m.setattr(dimension, "SOLVE_BUDGET", cost)
+                    m.setattr(dimension, "block_alphabet", block_alphabet)
+                    m.setattr(dimension, "moran_solve", lambda eq: "admitted")
+                    assert dim_S(s, u) == "admitted"
+
+    def test_huge_marker_base_refused_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="bit-steps; budget is"):
+            dim_S(10**6, 0)
+        assert time.perf_counter() - t0 < 0.01
 
     def test_trivial_regimes_skip_the_budget(self):
         # a single word is alpha = 0 whatever its length
@@ -343,6 +377,45 @@ class TestBoxCounting:
         with pytest.raises(ScaleMismatchError) as exc:
             box_count_for_alphabet(ComboAlphabet(2, ("0", "1")), 6, [4, 5, 7])
         assert str(exc.value).endswith("resolves is 6")
+
+    @pytest.mark.parametrize(
+        "a,depth,exponents",
+        [
+            # sup = 1: the upper endpoint carries into the next box
+            (ComboAlphabet(3, ("0", "22")), 10, range(4, 9)),
+            (ComboAlphabet(4, ("3", "10", "2")), 8, range(3, 7)),
+            # the one-point set {1}
+            (ComboAlphabet(3, ("2",)), 8, range(4, 9)),
+            (ComboAlphabet(2, ("1",)), 6, [2, 4, 6]),
+            # J = 12 > n_min = 11: a hull narrow enough for the finest
+            # scale though coarser than its digits
+            (induced_alphabet(3, 0), 12, range(4, 13)),
+            # not prefix-free: frontier numerators repeat
+            (tilde_alphabet(3), 10, range(4, 9)),
+        ],
+    )
+    def test_truncated_counts_match_fraction_hulls(self, a, depth, exponents):
+        exponents = list(exponents)
+        hulls = [h for h, _ in enumerate_prefixes(a, depth)]
+        scales = [Fraction(1, a.s**j) for j in exponents]
+        assert box_count_for_alphabet(a, depth, exponents) == box_count_estimate(
+            hulls, scales
+        )
+
+    @pytest.mark.parametrize(
+        "a,depth,counts",
+        [
+            (induced_alphabet(3, 0), 16, [8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]),
+            (induced_alphabet(4, 0), 16, [13, 24, 44, 81, 149, 274, 504, 927, 1705, 3136]),
+            (tilde_alphabet(3), 16, [2**j for j in range(4, 15)]),
+            (tilde_alphabet(4), 12, [56, 142, 373, 967, 2512, 6532]),
+        ],
+    )
+    def test_deep_counts_are_pinned(self, a, depth, counts):
+        # the scales s**-4 .. s**-(depth - longest word) of the deep box
+        # jobs of perfbench's enumerate workload
+        r = box_count_for_alphabet(a, depth, list(range(4, depth - a.max_len + 1)))
+        assert [n for _, n in r.counts] == counts
 
     def test_counts_are_coarse_to_fine(self):
         r = box_count_for_alphabet(induced_alphabet(3, 0), 12, range(4, 11))

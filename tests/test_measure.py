@@ -12,15 +12,45 @@ from hypothesis import strategies as st
 from sadicsets import measure
 from sadicsets import (
     STAGE_BUDGET,
+    CoverStage,
     RangeError,
     ResourceBudgetError,
+    SadicError,
     block_alphabet,
     cover_stage,
     cylinder,
+    induced_alphabet,
     measure_decay_report,
     set_extrema,
     sigma,
 )
+from sadicsets.combos import _hull, _word_steps
+from sadicsets.cylinders import _set_extrema_q
+
+
+def _sorted_stage(s, u, k):
+    """`cover_stage` as built by sorting: every rank-k prefix in
+    alphabet order, its hull over q * s**top, one sort of the hulls,
+    then the disjointness and length checks."""
+    steps = _word_steps(s, induced_alphabet(s, u).combos)
+    prefixes = [(0, 0)]
+    for _ in range(k):
+        prefixes = [
+            (num * step + v, n + m) for num, n in prefixes for m, step, v in steps
+        ]
+    ext = q, p_lo, p_hi = _set_extrema_q(s, u)
+    top = max(n for _, n in prefixes)
+    pw = [s**n for n in range(top + 1)]
+    hulls = sorted(
+        ((num * q + p_lo) * pw[top - n], (num * q + p_hi) * pw[top - n], num, n)
+        for num, n in prefixes
+    )
+    for (_, hi_a, _, _), (lo_b, _, _, _) in zip(hulls, hulls[1:]):
+        assert hi_a < lo_b
+    total = Fraction(sum(hi - lo for lo, hi, _, _ in hulls), q * pw[top])
+    assert total == sigma(s, u) ** k * Fraction(p_hi - p_lo, q)
+    intervals = tuple(_hull(num, pw[n], ext) for _, _, num, n in hulls)
+    return CoverStage(s, u, k, intervals, total)
 
 
 class TestSigma:
@@ -120,6 +150,20 @@ class TestCoverStage:
                 (c.inf, c.sup) for c in (cylinder(s, u, base) for base in bases)
             )
             assert cover_stage(s, u, k).intervals == tuple(hulls)
+
+    def test_hull_order_build_equals_the_sorted_one(self):
+        for s in range(3, 9):
+            for u in range(s):
+                for k in range(1, 4):
+                    assert cover_stage(s, u, k) == _sorted_stage(s, u, k)
+
+    def test_reversed_child_order_is_caught(self, monkeypatch):
+        # children built against hull order break the linear check
+        monkeypatch.setattr(
+            measure, "_word_steps", lambda s, words: _word_steps(s, words)[::-1]
+        )
+        with pytest.raises(SadicError, match="not disjoint"):
+            cover_stage(3, 0, 2)
 
     def test_intervals_disjoint_and_sorted(self):
         stage = cover_stage(3, 0, 5)

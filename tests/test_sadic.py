@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 import types
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from sadicsets import (
     InvalidDigitError,
     NotAMemberError,
     RangeError,
+    ResourceBudgetError,
     SadicError,
     audit_extrema,
     block_alphabet,
@@ -39,6 +41,7 @@ from sadicsets import (
     measure_decay_report,
     normal_candidate_exists,
     point_locate,
+    rational_json,
     rational_to_digits,
     sprime3_alphabet,
     structural_identity_residual,
@@ -206,6 +209,17 @@ class TestRationalConversion:
     @settings(deadline=None)
     def test_roundtrip_random(self, x, s):
         assert digits_to_rational(rational_to_digits(x, s)) == x
+
+
+    def test_json_refuses_unprintable_integers(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("int-to-str conversion is unlimited here")
+        assert rational_json(Fraction(1, 10**limit - 1))["den"] == "9" * limit
+        for digits in (limit + 1, limit + 2, 2 * limit, 3 * limit + 7):
+            for den in (10 ** (digits - 1), 10**digits - 1):
+                with pytest.raises(ResourceBudgetError, match=f" {digits}-digit integer"):
+                    rational_json(Fraction(1, den))
 
 
 class TestBlockCodec:
