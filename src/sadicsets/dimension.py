@@ -11,10 +11,10 @@ bisecting t on dyadic rationals with integer sign tests certifies the
 root by an exact bracket P(t_lo) < 1 <= P(t_hi).  m = 1 gives alpha = 0
 and sum_k N_k s**-k = 1 (words tiling the interval) gives alpha = 1.
 
-`box_count_estimate` measures the covering exponent of actual interval
-hulls and serves as the empirical cross-check on the algebraic root; it
-never looks at the equation.  `box_count_for_alphabet` counts the same
-boxes straight from the integer prefix frontier of `combos`, by digit
+`box_count_for_alphabet` measures the covering exponent of the
+alphabet's prefix hulls and serves as the empirical cross-check on the
+algebraic root; it never looks at the equation.  It counts the boxes
+straight from the integer prefix frontier of `combos`, by digit
 truncation.  A frontier prefix y / s**n has the hull
 [y*q + p_lo, y*q + p_hi] / (q * s**n), with 0 <= p_lo <= p_hi <= q; for
 n >= J, s**-J the finest scale, it lies in [y, y+1] / s**n, and its
@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combos import ComboAlphabet, Interval, _extrema_q, _frontier, tilde_alphabet
+from .combos import ComboAlphabet, _extrema_q, _frontier, tilde_alphabet
 from .errors import InvalidBaseError, ResourceBudgetError, ScaleMismatchError
 from .sadic import (
     Rational,
@@ -275,67 +275,12 @@ class BoxCountResult:
         }
 
 
-def _floor_div(x: Rational, eps: Rational) -> int:
-    return (x.numerator * eps.denominator) // (x.denominator * eps.numerator)
-
-
-def _checked_scales(scales) -> list[Fraction]:
-    """The scales as `Fraction`s, coarse first, or a `ScaleMismatchError`."""
-    if len(scales) < 3:
-        raise ScaleMismatchError(f"need at least 3 scales, got {len(scales)}")
-    scales = sorted((Fraction(e) for e in scales), reverse=True)
-    if any(e <= 0 for e in scales):
-        raise ScaleMismatchError("scales must be positive")
-    if len(set(scales)) != len(scales):
-        raise ScaleMismatchError("scales must be distinct")
-    return scales
-
-
-def _width_error(
-    widest: Rational, finest: Rational, hint: str = ""
-) -> ScaleMismatchError:
-    return ScaleMismatchError(
-        f"hull width {widest} exceeds finest scale {finest}; "
-        f"enumerate deeper or coarsen the scales{hint}"
-    )
-
-
 def _fit(counts: list[tuple[Rational, int]]) -> BoxCountResult:
-    # With five or more scales the two coarsest are left out of the fit.
     fit = counts[2:] if len(counts) >= 5 else counts
     xs = [-math.log(float(eps)) for eps, _ in fit]
     ys = [math.log(n) for _, n in fit]
     slope = float(np.polyfit(xs, ys, 1)[0])
     return BoxCountResult(slope, tuple(counts), len(fit))
-
-
-def box_count_estimate(
-    hulls: list[Interval], scales: list[Rational]
-) -> BoxCountResult:
-    """Count zero-aligned half-open boxes [i*eps, (i+1)*eps) met by any
-    hull, per scale, and fit log N against log 1/eps.
-
-    The hulls must be a cover of the set that is fine relative to the
-    scales (every hull no wider than the finest eps), so box indices of
-    a hull are just floor(lo/eps)..floor(hi/eps) -- at most two boxes.
-    With five or more scales the two coarsest are dropped from the fit
-    to damp transient bias; counts for them are still reported.
-    """
-    scales = _checked_scales(scales)
-    if not hulls:
-        raise ScaleMismatchError("no hulls to count")
-    widest = max(hi - lo for lo, hi in hulls)
-    if widest > scales[-1]:
-        raise _width_error(widest, scales[-1])
-    counts = []
-    for eps in scales:
-        boxes: set[int] = set()
-        for lo, hi in hulls:
-            i0 = _floor_div(lo, eps)
-            i1 = _floor_div(hi, eps)
-            boxes.update(range(i0, i1 + 1))
-        counts.append((eps, len(boxes)))
-    return _fit(counts)
 
 
 def box_count_for_alphabet(
@@ -344,25 +289,39 @@ def box_count_for_alphabet(
     """Box-count the alphabet's set from its depth-`depth` prefix hulls
     at scales s**-j for the given exponents j.
 
-    Same counts and slope as `box_count_estimate` over the
-    `enumerate_prefixes` hulls, computed in integers.  The frontier hull
-    of y / s**n has the endpoints (y*q + p) / (q * s**n), p in
-    {p_lo, p_hi}, and meets box floor((y*q + p) / (q * s**(n-J))) at
-    the finest exponent J.  For n >= J that box is
-    (y + (p == q)) // s**(n-J), as 0 <= p <= q: digit truncation, with
-    no q at all, and an endpoint reaches the next box only when it is 1.
+    The boxes are those the `enumerate_prefixes` hulls meet, counted in
+    integers.  The frontier hull of y / s**n has the endpoints
+    (y*q + p) / (q * s**n), p in {p_lo, p_hi}, and meets box
+    floor((y*q + p) / (q * s**(n-J))) at the finest exponent J.  For
+    n >= J that box is (y + (p == q)) // s**(n-J), as 0 <= p <= q:
+    digit truncation, with no q at all, and an endpoint reaches the
+    next box only when it is 1.
     A prefix with n < J, which the width check admits when its hull is
     narrow enough, keeps the exact (y*q + p) * s**(J-n) // q.  Box i at
     exponent J lies in box i // s**(J-j) at exponent j.
+
+    The exponents must be ints >= 0, at least 3 and distinct; as the
+    slope is fitted in doubles, s**-J must not round to 0.0.  With five
+    or more scales the two coarsest are left out of the fit; their
+    counts are still reported.
     """
     for j in scale_exponents:
         if type(j) is not int or j < 0:
             raise ScaleMismatchError(f"scale exponent {j!r} must be an int >= 0")
     frontier = _frontier(a, depth, "depth")
-    s = a.s
-    scales = _checked_scales([Fraction(1, s**j) for j in scale_exponents])
-    exps = sorted(scale_exponents)  # coarse first, as `scales`
-    fine = exps[-1]
+    exps = sorted(scale_exponents)  # coarse first
+    if len(exps) < 3:
+        raise ScaleMismatchError(f"need at least 3 scales, got {len(exps)}")
+    if len(set(exps)) != len(exps):
+        raise ScaleMismatchError("scales must be distinct")
+    s, fine = a.s, exps[-1]
+    # s**-J <= 2**-(J * (bits(s) - 1)), and 2**-1075, half the least
+    # subnormal, rounds to 0.0; short of that bound s**J has < 2150 bits.
+    if fine * (s.bit_length() - 1) >= 1075 or 1 / s**fine == 0.0:
+        raise ScaleMismatchError(
+            f"finest scale {s}**-{fine} rounds to 0.0 as a double, "
+            "and the slope is fitted in doubles"
+        )
     q, p_lo, p_hi = _extrema_q(a)
     levels = [(n, nums) for n, nums, _ in frontier if nums]
     n_min = levels[0][0]
@@ -371,10 +330,10 @@ def box_count_for_alphabet(
         resolved = n_min  # p_hi - p_lo <= q, so exponent n_min is resolved
         while (p_hi - p_lo) * s ** (resolved + 1) <= q * s**n_min:
             resolved += 1
-        raise _width_error(
-            Fraction(p_hi - p_lo, q * s**n_min),
-            scales[-1],
-            f"; the finest exponent depth {depth} resolves is {resolved}",
+        raise ScaleMismatchError(
+            f"hull width {Fraction(p_hi - p_lo, q * s**n_min)} exceeds finest "
+            f"scale {Fraction(1, s**fine)}; enumerate deeper or coarsen the "
+            f"scales; the finest exponent depth {depth} resolves is {resolved}"
         )
     boxes: set[int] = set()
     for n, nums in levels:
@@ -393,4 +352,4 @@ def box_count_for_alphabet(
         m = s ** (j - coarser)
         boxes = {i // m for i in boxes}
         counts.append(len(boxes))
-    return _fit(list(zip(scales, reversed(counts))))
+    return _fit([(Fraction(1, s**j), n) for j, n in zip(exps, reversed(counts))])

@@ -215,6 +215,35 @@ class TestSubcommands:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,admitted",
+        [
+            (["--s", "3", "--u", "0", "--scales", "4,5,1000000"], None),
+            (["--s", "3", "--u", "0", "--scales", "4,5,1000000000"], None),
+            (["--s", "3", "--u", "0", "--scales", "4,5,2000"], None),
+            # the one point {1}: 3**-678 is the last power of 3 above 0.0
+            (["--depth", "3", "--scales", "1,2,679"], "1,2,678"),
+        ],
+    )
+    def test_boxcount_underflowing_scale_exit(self, argv, admitted, tmp_path, capsys):
+        # the slope is fitted in doubles, so a finest scale that rounds to
+        # 0.0 is refused before any power of that size is built
+        if admitted:
+            point = tmp_path / "point.json"
+            point.write_text(json.dumps({"s": 3, "combos": ["2"]}))
+            argv = ["--alphabet", str(point), *argv]
+            assert main(["boxcount", *argv[:-1], admitted]) == 0
+            assert json.loads(capsys.readouterr().out)["slope"] == 0.0
+        assert main(["boxcount", *argv]) == 1  # the first call also warms up argparse
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert main(["boxcount", *argv]) == 1
+        assert time.perf_counter() - t0 < 0.1
+        err = capsys.readouterr().err
+        assert err.startswith("error: finest scale 3**-")
+        assert "rounds to 0.0 as a double" in err
+        assert "Traceback" not in err
+
     def test_boxcount_default_scales_name_the_resolved_exponent(self, capsys):
         # the default scales 4..10 are finer than depth 12 resolves for
         # these sets; the error names the exponent to stop at
@@ -333,9 +362,12 @@ def _quiet_main(argv):
 _INT = st.integers(-3, 8).map(str)
 _BASE = st.integers(3, 8).map(str) | _INT  # a valid s reaches the library more often
 _DIGITS = st.sampled_from(["", ",", "x", "1.5", "-1", "1,,2"]) | st.text("0123456789,", max_size=6)
+_EXPONENT = st.integers(-3, 8) | st.integers(9, 10**9)
 _SCALES = (
     st.builds("{}..{}".format, st.integers(-3, 8), st.integers(-3, 8))
-    | st.lists(st.integers(-3, 8), max_size=5).map(lambda js: ",".join(map(str, js)))
+    # a short range of huge exponents; a long one would list them all
+    | st.builds(lambda lo, n: f"{lo}..{lo + n}", st.integers(9, 10**9), st.integers(-3, 8))
+    | st.lists(_EXPONENT, max_size=5).map(lambda js: ",".join(map(str, js)))
     | st.sampled_from(["x", "4..x", "1.5", ".."])
 )
 _ALPHABET = (
@@ -379,6 +411,11 @@ class TestFuzz:
 
     @given(_argv())
     @example(["boxcount", "--s=3", "--u=0", "--scales=-3..5"])  # a bare TypeError once
+    # scales that round to 0.0 as doubles: a traceback, a hang, a
+    # 955-digit error message once
+    @example(["boxcount", "--s=3", "--u=0", "--scales=4,5,1000000"])
+    @example(["boxcount", "--s=3", "--u=0", "--scales=4,5,1000000000"])
+    @example(["boxcount", "--s=3", "--u=0", "--scales=4,5,2000"])
     @settings(deadline=None, max_examples=400)
     def test_argv(self, argv):
         assert _quiet_main(argv) in (0, 1, 2), argv
@@ -390,6 +427,8 @@ class TestFuzz:
             _JSON_VALUE,
         ),
     )
+    # the one point {1} reached the fit with 3**-679 == 0.0 once
+    @example(("boxcount", "--depth=3", "--scales=1,2,679"), {"s": 3, "combos": ["2"]})
     @settings(deadline=None, max_examples=150)
     def test_alphabet_file(self, tmp_path_factory, command, doc):
         f = tmp_path_factory.mktemp("alphabet") / "alpha.json"

@@ -1,4 +1,5 @@
-"""Moran similarity-dimension solver and the box-counting oracle."""
+"""Moran similarity-dimension solver and box counting, with the
+`Fraction`-hull box counter as its oracle."""
 
 import math
 import time
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sadicsets import (
+    BoxCountResult,
     ComboAlphabet,
     SOLVE_BUDGET,
     InvalidBaseError,
@@ -17,7 +19,6 @@ from sadicsets import (
     ResourceBudgetError,
     ScaleMismatchError,
     block_alphabet,
-    box_count_estimate,
     box_count_for_alphabet,
     dim_S,
     dim_alphabet,
@@ -32,6 +33,42 @@ from sadicsets import dimension
 from sadicsets.dimension import _solve_cost
 
 PHI = (math.sqrt(5.0) + 1.0) / 2.0
+
+
+def _box_count_estimate(hulls, scales):
+    """Oracle of `box_count_for_alphabet`: count the zero-aligned
+    half-open boxes [i*eps, (i+1)*eps) met by any `Fraction` hull, one
+    scale at a time, and fit log N against log 1/eps.
+
+    Every hull must be no wider than the finest eps, so it meets the
+    boxes floor(lo/eps)..floor(hi/eps), at most two.  With five or more
+    scales the two coarsest are left out of the fit.
+    """
+    if len(scales) < 3:
+        raise ScaleMismatchError(f"need at least 3 scales, got {len(scales)}")
+    scales = sorted((Fraction(e) for e in scales), reverse=True)
+    if any(e <= 0 for e in scales):
+        raise ScaleMismatchError("scales must be positive")
+    if len(set(scales)) != len(scales):
+        raise ScaleMismatchError("scales must be distinct")
+    if not hulls:
+        raise ScaleMismatchError("no hulls to count")
+    widest = max(hi - lo for lo, hi in hulls)
+    if widest > scales[-1]:
+        raise ScaleMismatchError(
+            f"hull width {widest} exceeds finest scale {scales[-1]}; "
+            "enumerate deeper or coarsen the scales"
+        )
+    counts = []
+    for eps in scales:
+        boxes = set()
+        for lo, hi in hulls:
+            boxes.update(range(math.floor(lo / eps), math.floor(hi / eps) + 1))
+        counts.append((eps, len(boxes)))
+    fit = counts[2:] if len(counts) >= 5 else counts
+    xs = [-math.log(float(eps)) for eps, _ in fit]
+    ys = [math.log(n) for _, n in fit]
+    return BoxCountResult(float(np.polyfit(xs, ys, 1)[0]), tuple(counts), len(fit))
 
 
 def _P(eq, t):
@@ -271,9 +308,6 @@ class TestMoranEquation:
 
 
 class TestBoxCounting:
-    def _grid(self, s, j):
-        return [Fraction(1, s**e) for e in range(4, 4 + j)]
-
     def test_marker_zero_base_three_counts(self):
         # frontier hull counts at these scales follow the Fibonacci law
         r = box_count_for_alphabet(induced_alphabet(3, 0), 12, range(4, 11))
@@ -288,26 +322,39 @@ class TestBoxCounting:
         assert abs(r.slope - dim_tilde(3).alpha) < 0.05
 
     def test_single_point_slope_zero(self):
-        hulls = [(Fraction(1, 3), Fraction(1, 3))]
-        r = box_count_estimate(hulls, self._grid(2, 5))
+        # 01 repeated in base 2 is the one point 1/3
+        r = box_count_for_alphabet(ComboAlphabet(2, ("01",)), 2, range(4, 9))
+        assert [n for _, n in r.counts] == [1] * 5
         assert abs(r.slope) < 0.05
 
     def test_full_interval_slope_one(self):
-        step = Fraction(1, 2**8)
-        hulls = [(i * step, (i + 1) * step) for i in range(2**8)]
-        r = box_count_estimate(hulls, self._grid(2, 5))
+        r = box_count_for_alphabet(ComboAlphabet(2, ("0", "1")), 8, range(4, 9))
         assert abs(r.slope - 1.0) < 0.05
 
     def test_rejects_few_scales(self):
-        with pytest.raises(ScaleMismatchError):
-            box_count_estimate(
-                [(Fraction(0), Fraction(1, 100))], self._grid(2, 2)
-            )
+        with pytest.raises(ScaleMismatchError, match="need at least 3 scales, got 2"):
+            box_count_for_alphabet(ComboAlphabet(2, ("0", "1")), 8, [4, 5])
 
     def test_rejects_wide_hulls(self):
         # hull wider than the finest scale cannot be box-counted honestly
-        with pytest.raises(ScaleMismatchError):
-            box_count_estimate([(Fraction(0), Fraction(1))], self._grid(2, 5))
+        with pytest.raises(ScaleMismatchError, match="exceeds finest scale"):
+            box_count_for_alphabet(ComboAlphabet(2, ("0", "1")), 1, range(4, 9))
+
+    @pytest.mark.parametrize("s,word,last", [(3, "2", 678), (2, "1", 1074)])
+    def test_finest_scale_must_not_underflow(self, s, word, last):
+        # The one point {1} meets one box at every scale.  The slope is
+        # fitted to log(float(s**-j)), and s**-last is the smallest of
+        # these scales that a double holds above 0.0.
+        a = ComboAlphabet(s, (word,))
+        r = box_count_for_alphabet(a, 3, [1, 2, last])
+        scales = (Fraction(1, s), Fraction(1, s**2), Fraction(1, s**last))
+        assert r == BoxCountResult(0.0, tuple((eps, 1) for eps in scales), 3)
+        with pytest.raises(ScaleMismatchError) as exc:
+            box_count_for_alphabet(a, 3, [1, 2, last + 1])
+        assert str(exc.value) == (
+            f"finest scale {s}**-{last + 1} rounds to 0.0 as a double, "
+            "and the slope is fitted in doubles"
+        )
 
     def test_rejects_bad_scale_exponent(self):
         for exponents in ([-3, 4, 5, 6], [4, 5, 6, 1.5], [4, 5, True]):
@@ -336,7 +383,7 @@ class TestBoxCounting:
                 return str(e)
 
         got = outcome(lambda: box_count_for_alphabet(a, depth, exponents))
-        want = outcome(lambda: box_count_estimate(hulls, scales))
+        want = outcome(lambda: _box_count_estimate(hulls, scales))
         if isinstance(want, str) and "exceeds finest scale" in want:
             # the alphabet error also names the finest exponent its
             # widest hull fits in
@@ -362,7 +409,7 @@ class TestBoxCounting:
         r = box_count_for_alphabet(a, 6, [4, 5, 6])
         assert [n for _, n in r.counts] == [17, 33, 65]
         hulls = [h for h, _ in enumerate_prefixes(a, 6)]
-        assert r == box_count_estimate(hulls, [Fraction(1, 2**j) for j in (4, 5, 6)])
+        assert r == _box_count_estimate(hulls, [Fraction(1, 2**j) for j in (4, 5, 6)])
 
     def test_width_error_names_the_finest_resolved_exponent(self):
         # depth 12 leaves frontier hulls of induced (5, 0) wider than
@@ -398,7 +445,7 @@ class TestBoxCounting:
         exponents = list(exponents)
         hulls = [h for h, _ in enumerate_prefixes(a, depth)]
         scales = [Fraction(1, a.s**j) for j in exponents]
-        assert box_count_for_alphabet(a, depth, exponents) == box_count_estimate(
+        assert box_count_for_alphabet(a, depth, exponents) == _box_count_estimate(
             hulls, scales
         )
 

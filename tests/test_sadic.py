@@ -466,7 +466,7 @@ def test_all_lists_exactly_the_package_api():
         for name, obj in vars(sadicsets).items()
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
-    assert len(sadicsets.__all__) == len(set(sadicsets.__all__))
+    assert len(sadicsets.__all__) == len(set(sadicsets.__all__)) == 71
     assert set(sadicsets.__all__) == bound
     for name in sadicsets.__all__:
         obj = getattr(sadicsets, name)
