@@ -384,6 +384,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         code, text = dispatch(config)
+        if config.output:
+            Path(config.output).write_text(text + "\n")
+        else:
+            print(text)
     except ResourceBudgetError as e:
         print(f"resource budget exceeded: {e}", file=sys.stderr)
         return 2
@@ -393,10 +397,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 1
-    if config.output:
-        Path(config.output).write_text(text + "\n")
-    else:
-        print(text)
     return code
 
 

@@ -32,8 +32,10 @@ numerators alone.
 
 Frontier enumeration is refused with `ResourceBudgetError` when the
 exact frontier size, counted from the length histogram alone
-(`_frontier_size`), exceeds `FRONTIER_BUDGET`; so is a built-in
-alphabet whose words, counted in closed form, would hold more than
+(`_frontier_size`), exceeds `FRONTIER_BUDGET`; a depth at which the
+m**j sequences of j words, j*L <= depth - L, already exceed it is
+refused from that bound, before the count.  So is a built-in alphabet
+whose words, counted in closed form, would hold more than
 `FRONTIER_BUDGET` digits.
 
 Whole-set extrema follow the single-word periodic rule: the least and
@@ -62,10 +64,10 @@ from .errors import (
 from .sadic import (
     DigitString,
     Rational,
+    _block_stats,
     _block_words,
     _digits_int,
     _require_int,
-    _validate_marker,
     block_alphabet,
     digits_to_rational,
 )
@@ -132,8 +134,8 @@ class ComboAlphabet:
         if len(set(self.combos)) != len(self.combos):
             raise WordError("alphabet words must be distinct")
         for w in self.combos:
-            for d in w:
-                if not isinstance(d, int) or not 0 <= d < self.s:
+            for d in w:  # an int already: `parse_word` checked it
+                if not 0 <= d < self.s:
                     raise InvalidDigitError(
                         f"digit {d!r} out of range for base {self.s}"
                     )
@@ -181,16 +183,9 @@ def tilde_alphabet(s: int) -> ComboAlphabet:
     """
     _require_int(s, 3, InvalidDigitError, "s")
     _check_alphabet_digits(1 + (s - 1) * ((s - 1) * s // 2 - 1), f"tilde:{s}")
-    words = []
-    seen = set()
-    for c in range(1, s):
-        for u in range(s):
-            if u == c:
-                continue
-            w = (u,) * (c - 1) + (c,)
-            if w not in seen:
-                seen.add(w)
-                words.append(w)
+    words = dict.fromkeys(
+        _block_words((c,), u) for c in range(1, s) for u in range(s) if u != c
+    )
     assert len(words) == s * s - 3 * s + 3  # 1 + (s-1)(s-2) after dedupe
     return ComboAlphabet(s, tuple(words))
 
@@ -204,9 +199,8 @@ def sprime3_alphabet() -> ComboAlphabet:
 def induced_alphabet(s: int, u: int) -> ComboAlphabet:
     """The (s, u) marker-run set expressed as a combination alphabet:
     words u^(c-1) c for the usable block values c."""
-    _validate_marker(s, u)
-    # the block values 1..s-1 without the marker sum to s(s-1)/2 - u
-    _check_alphabet_digits(s * (s - 1) // 2 - u, f"alphabet of (s={s}, u={u})")
+    _, digits, _, _ = _block_stats(s, u)
+    _check_alphabet_digits(digits, f"alphabet of (s={s}, u={u})")
     words = tuple(_block_words((c,), u) for c in block_alphabet(s, u))
     return ComboAlphabet(s, words)
 
@@ -306,6 +300,16 @@ def _frontier(a: ComboAlphabet, max_digits: int, what: str, words: bool = False)
     such frontier prefix, so the frontier hulls cover the whole set.
     """
     _require_int(max_digits, a.max_len, RangeError, what)
+    # Each of the m**j sequences of j words, j*L <= max_digits - L, is a
+    # parent with frontier prefixes of its own, and m**j > 2**j exceeds
+    # the budget: refuse from that bound before the exact count, whose
+    # DP grows with max_digits.
+    j = (max_digits - a.max_len) // a.max_len
+    if a.m >= 2 and j > FRONTIER_BUDGET.bit_length():
+        raise ResourceBudgetError(
+            f"{what} {max_digits} would enumerate at least {a.m}**{j} "
+            f"frontier prefixes, budget is {FRONTIER_BUDGET}"
+        )
     size = _frontier_size(a, max_digits)
     if size > FRONTIER_BUDGET:
         raise ResourceBudgetError(

@@ -42,6 +42,7 @@ from .sadic import (
     BlockSequence,
     Rational,
     _block_words,
+    _check_blocks,
     _require_int,
     _validate_marker,
     block_alphabet,
@@ -55,11 +56,7 @@ _ORDER_DECREASING = "decreasing"
 
 def _validate_base(s: int, u: int, base: tuple[int, ...]) -> None:
     _validate_marker(s, u)
-    for c in base:
-        if type(c) is not int or not 1 <= c < s:
-            raise InvalidBaseError(f"base entry {c!r} out of range 1..{s - 1}")
-        if c == u:
-            raise InvalidBaseError(f"base entry {c} equals the marker digit")
+    _check_blocks(s, u, base, InvalidBaseError, "base entry")
 
 
 def set_extrema(s: int, u: int) -> tuple[Rational, Rational]:

@@ -37,8 +37,8 @@ from .combos import ComboAlphabet, _extrema_q, _frontier, tilde_alphabet
 from .errors import InvalidBaseError, ResourceBudgetError, ScaleMismatchError
 from .sadic import (
     Rational,
+    _block_stats,
     _require_int,
-    _validate_marker,
     block_alphabet,
     rational_json,
 )
@@ -227,20 +227,14 @@ def dim_S(s: int, u: int) -> DimensionResult:
     value c, of digit length c.
 
     The solve cost is checked against `SOLVE_BUDGET` from s and u alone,
-    before the block alphabet or the equation is built.  The usable
-    blocks are 1..s-1 without u: m = s - 1 - (u > 0) distinct lengths of
-    one word each, summing to s(s-1)/2 - u; the shortest is 2 for u = 1
-    and 1 otherwise, the longest s - 2 for u = s-1 and s - 1 otherwise.
+    before the block alphabet or the equation is built: the m usable
+    blocks are m distinct lengths of one word each, and `_block_stats`
+    gives their count, sum and extremes in closed form.
     """
-    _validate_marker(s, u)
-    m = s - 1 - (u > 0)
+    m, total, shortest, longest = _block_stats(s, u)
     if m >= 2:
-        shortest = 2 if u == 1 else 1
-        longest = s - 2 if u == s - 1 else s - 1
         near_zero = -(-m.bit_length() // shortest)
-        _check_solve_cost(
-            *_bisection_cost(m, m, near_zero, s * (s - 1) // 2 - u, longest, 1)
-        )
+        _check_solve_cost(*_bisection_cost(m, m, near_zero, total, longest, 1))
     counts = {c: 1 for c in block_alphabet(s, u)}
     return moran_solve(MoranEquation(s, tuple(counts.items())))
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .combos import Interval, _extend, _hull, _word_steps, induced_alphabet
 from .cylinders import _set_extrema_q, set_extrema
 from .errors import RangeError, ResourceBudgetError, SadicError
-from .sadic import Rational, _require_int, block_alphabet, rational_json
+from .sadic import Rational, _block_stats, _require_int, block_alphabet, rational_json
 
 # Most denominator bits one stage may hold.  The largest stages it
 # admits, (3,0,14), (4,0,9), (5,0,7) and (6,0,6), each hold about 16,000
@@ -78,10 +78,10 @@ def _stage_digits(s: int, u: int, k: int) -> int:
     # Both k past STAGE_BUDGET and a power past |A|**21 (>= 2**21 when
     # |A| >= 2) are over budget already, so each stops there: the total
     # is exact for every admitted stage and a small lower bound otherwise.
-    alphabet = block_alphabet(s, u)
+    count, total, _, _ = _block_stats(s, u)
     k_capped = min(k, STAGE_BUDGET + 1)
-    power = len(alphabet) ** min(k - 1, STAGE_BUDGET.bit_length())
-    return k_capped * power * sum(alphabet)
+    power = count ** min(k - 1, STAGE_BUDGET.bit_length())
+    return k_capped * power * total
 
 
 def cover_stage(s: int, u: int, k: int) -> CoverStage:

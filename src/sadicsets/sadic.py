@@ -18,6 +18,14 @@ Values with a terminating expansion have a second representation ending
 in the digit s-1 repeated; `DigitString.twin` converts between the two
 and `canonical` picks the terminating one (x = 1 is the lone value whose
 only in-range expansion is the repeating s-1 tail).
+
+The block values of (s, u) are 1..s-1 without the marker u.
+`block_alphabet` lists them, and nothing caches the list; whoever needs
+only their count, sum, least or largest value (the codec's longest
+marker run, stage and solve budgets) reads `_block_stats`, which
+states them in closed form, so a huge base lists nothing before its
+budget check.  `_check_blocks` is the one check of block entries, for
+`BlockSequence` and for cylinder bases alike.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     InsufficientDigitsError,
@@ -91,14 +98,29 @@ def _require_int(value, least: int, error: type[SadicError], what: str) -> None:
         raise error(f"{what} must be an int >= {least}, got {value!r}")
 
 
-# Cached: the block split asks for it on every call, and building the
-# tuple would cost more than splitting a short stream.  Typed, so that
-# 3.0 or True never hits the entry cached for 3 or 1.
-@lru_cache(maxsize=256, typed=True)
 def block_alphabet(s: int, u: int) -> tuple[int, ...]:
     """Block values available for (s, u): 1..s-1 with the marker removed."""
     _validate_marker(s, u)
     return tuple(c for c in range(1, s) if c != u)
+
+
+def _block_stats(s: int, u: int) -> tuple[int, int, int, int]:
+    """Check (s, u), then return the count, sum, least and largest value
+    of `block_alphabet(s, u)` in closed form, without listing it."""
+    _validate_marker(s, u)
+    count, total = s - 1 - (u > 0), s * (s - 1) // 2 - u
+    return count, total, 1 + (u == 1), s - 1 - (u == s - 1)
+
+
+def _check_blocks(s: int, u: int, blocks, error: type[SadicError], what: str) -> None:
+    """Reject with ``error`` the first entry of ``blocks`` that is not a
+    block value for (s, u): an int (a bool is not one) in 1..s-1 other
+    than the marker.  ``what`` names an entry in the message."""
+    for c in blocks:
+        if type(c) is not int or not 1 <= c < s:
+            raise error(f"{what} {c!r} out of range 1..{s - 1}")
+        if c == u:
+            raise error(f"{what} {c} equals the marker digit")
 
 
 def _primitive(word: tuple) -> tuple:
@@ -246,13 +268,8 @@ class BlockSequence:
         _validate_marker(self.base, self.marker)
         if self.tail is not None and not self.tail:
             raise InvalidBlockError("tail, when given, must be nonempty")
-        for c in self.blocks + (self.tail or ()):
-            if type(c) is not int or not 1 <= c < self.base:
-                raise InvalidBlockError(
-                    f"block {c!r} out of range 1..{self.base - 1}"
-                )
-            if c == self.marker:
-                raise InvalidBlockError(f"block {c} equals the marker digit")
+        entries = self.blocks + (self.tail or ())
+        _check_blocks(self.base, self.marker, entries, InvalidBlockError, "block")
 
     @property
     def digit_length(self) -> int:
@@ -355,7 +372,7 @@ def _split_blocks(digits, s: int, u: int, run: int = 0, pos: int = 0):
     wrong closing digit, a stray zero) raises `NotAMemberError` at the
     offset of the digit where it shows.
     """
-    max_run = block_alphabet(s, u)[-1] - 1
+    max_run = _block_stats(s, u)[3] - 1
     blocks: list[int] = []
     for pos, digit in enumerate(digits, pos + 1):
         if digit == u:
@@ -408,7 +425,7 @@ def block_decode(d: DigitString, u: int) -> BlockSequence:
         j = next((i + 1 for i, digit in enumerate(per) if digit != u), None)
         if j is None:
             # No closer ever comes: max_block markers overflow any run.
-            _split_blocks(pre + per * block_alphabet(s, u)[-1], s, u)
+            _split_blocks(pre + per * _block_stats(s, u)[3], s, u)
     else:
         j = 0
     blocks, _ = _split_blocks(pre + per[:j], s, u)

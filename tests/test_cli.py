@@ -203,6 +203,15 @@ class TestSubcommands:
             (["dim", "--s", "1000000", "--u", "0"], 0.1, "bit-steps; budget is"),
             # a 4,761-digit denominator cannot be printed
             (["cylinder", "--s", "1500", "--u", "0", "--base", "1"], 1.0, "4761-digit integer"),
+            # the stage's block count and sum come in closed form
+            (["measure", "--s", "10000000", "--u", "0", "--k", "1"], 0.1,
+             "stage 1 for (s=10000000, u=0)"),
+            # the frontier is refused from the bound m**j: its exact
+            # count would take seconds and have too many digits to print
+            (["boxcount", "--s", "3", "--u", "0", "--depth", "100000"], 1.0,
+             "depth 100000 would enumerate at least 2**49999 frontier prefixes"),
+            (["boxcount", "--s", "3", "--u", "0", "--depth", "1000000"], 1.0,
+             "depth 1000000 would enumerate at least 2**499999 frontier prefixes"),
         ],
     )
     def test_refused_without_a_traceback(self, argv, seconds, message, capsys):
@@ -214,6 +223,16 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["missing/d/x.json", "."])
+    def test_unwritable_output_exit(self, target, tmp_path, capsys):
+        # a path under a missing directory, and a directory
+        output = tmp_path / target
+        assert main(["normal", "--s", "3", "--output", str(output)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv,admitted",
@@ -388,6 +407,19 @@ _FLAGS = {
 }
 
 
+# --output: absent, a file, an existing directory, or a file under a
+# missing directory; the placeholder stands for a per-module temp dir
+_OUTPUT_DIR = "<output-dir>"
+_OUTPUT = st.sampled_from(
+    [None, f"{_OUTPUT_DIR}/out.json", _OUTPUT_DIR, f"{_OUTPUT_DIR}/missing/out.json"]
+)
+
+
+@pytest.fixture(scope="module")
+def output_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("output")
+
+
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
@@ -397,6 +429,9 @@ def _argv(draw):
             argv.append(f"{flag}={draw(values)}")
     if draw(st.booleans()):
         argv.append(f"--format={draw(st.sampled_from(['json', 'csv', 'table', 'xml']))}")
+    output = draw(_OUTPUT)
+    if output is not None:
+        argv.append(f"--output={output}")
     return argv
 
 
@@ -417,7 +452,8 @@ class TestFuzz:
     @example(["boxcount", "--s=3", "--u=0", "--scales=4,5,1000000000"])
     @example(["boxcount", "--s=3", "--u=0", "--scales=4,5,2000"])
     @settings(deadline=None, max_examples=400)
-    def test_argv(self, argv):
+    def test_argv(self, output_dir, argv):
+        argv = [arg.replace(_OUTPUT_DIR, str(output_dir)) for arg in argv]
         assert _quiet_main(argv) in (0, 1, 2), argv
 
     @given(

@@ -259,6 +259,22 @@ class TestEnumeratePrefixes:
             assert "171774086543076382009" in str(err.value)
             assert str(FRONTIER_BUDGET) in str(err.value)
 
+    def test_deep_frontier_refused_from_its_bound(self):
+        # (3, 0) has the words 1 and 02, so j = (D - 2) // 2: through
+        # j = 21 the exact count is stated, past it the bound 2**j
+        a = induced_alphabet(3, 0)
+        for depth, stated in ((44, f"{_frontier_size(a, 44)} "), (46, "at least 2**22 ")):
+            with pytest.raises(ResourceBudgetError) as err:
+                enumerate_prefixes(a, depth)
+            assert str(err.value) == (
+                f"max_digits {depth} would enumerate {stated}frontier prefixes, "
+                f"budget is {FRONTIER_BUDGET}"
+            )
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match=r"at least 2\*\*499999 "):
+            audit_extrema(a, Fraction(0), Fraction(1), 10**6)
+        assert time.perf_counter() - t0 < 0.1
+
     def test_budget_admits_the_cli_default(self):
         # `boxcount --alphabet tilde:5` at its default depth 12
         assert _frontier_size(tilde_alphabet(5), 12) == 55_789 <= FRONTIER_BUDGET

@@ -261,11 +261,29 @@ class TestOrdering:
             (3, 0, (3,), 1, "base entry 3 out of range 1..2"),
             (5, 2, (2,), 3, "base entry 2 equals the marker digit"),
             (5, 2, (1.0,), 3, "base entry 1.0 out of range 1..4"),
+            (3, 0, (0,), 1, "base entry 0 out of range 1..2"),
+            (4, 0, (1, 2, 3, 4), 1, "base entry 4 out of range 1..3"),
+            (3, 0, (2, 1.0), 1, "base entry 1.0 out of range 1..2"),
+            (3, 0, (True,), 1, "base entry True out of range 1..2"),
+            (4, 1, (2, 1), 2, "base entry 1 equals the marker digit"),
+            (5, 4, (3, False), 1, "base entry False out of range 1..4"),
         ],
     )
     def test_rejects_bad_base_entries(self, s, u, base, p, message):
-        with pytest.raises(InvalidBaseError, match=message):
-            cylinder_order(s, u, base, p)
+        # every entry that takes a block prefix shares one check, with
+        # the same class and text; gaps exist for the marker 0 only
+        calls = [
+            lambda: cylinder_order(s, u, base, p),
+            lambda: cylinder(s, u, base),
+            lambda: extension_value_bounds(s, u, base, 1),
+        ]
+        if u == 0:
+            calls.append(lambda: gap_interval(s, base, p))
+        for call in calls:
+            with pytest.raises(InvalidBaseError) as exc:
+                call()
+            assert type(exc.value) is InvalidBaseError
+            assert str(exc.value) == message
 
     @given(marked_bases(max_rank=3))
     @settings(deadline=None)

@@ -89,10 +89,14 @@ class TestCoverStage:
         with pytest.raises(ResourceBudgetError):
             cover_stage(4, 0, 12)
 
-    @pytest.mark.parametrize("s,u,k", [(3, 0, 1030), (3, 0, 10**9), (40, 0, 200)])
+    @pytest.mark.parametrize(
+        "s,u,k", [(3, 0, 1030), (3, 0, 10**9), (40, 0, 200), (10**7, 0, 1)]
+    )
     def test_huge_stage_refused_at_once(self, s, u, k):
         # the exact digit total has hundreds of decimal digits (or is a
-        # power with a billion-bit exponent): no float and no huge power
+        # power with a billion-bit exponent): no float and no huge power;
+        # the block count and sum come in closed form, so base 10**7
+        # lists no block alphabet
         t0 = time.perf_counter()
         with pytest.raises(ResourceBudgetError) as err:
             cover_stage(s, u, k)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import sys
+import time
 import types
 from fractions import Fraction
 
@@ -233,7 +234,7 @@ class TestBlockCodec:
 
     def test_marker_params_must_be_ints(self):
         block_alphabet(3, 0)
-        block_alphabet(3, 1)  # cached entries 3.0 or True must not hit
+        block_alphabet(3, 1)  # 3.0 or True must not pass as 3 or 1
         for s, u in ((3.0, 0), (3, 0.5), (True, 0), (3, True)):
             with pytest.raises(InvalidBaseError):
                 block_alphabet(s, u)
@@ -282,6 +283,14 @@ class TestBlockCodec:
         with pytest.raises(NotAMemberError):
             block_decode(d, 0)
 
+    def test_decode_huge_base_lists_no_alphabet(self):
+        # the longest marker run comes from a closed form, so base 10**7
+        # decodes without listing its 10**7 - 1 block values
+        t0 = time.perf_counter()
+        b = block_decode(DigitString(10**7, (1, 0, 2)), 0)
+        assert time.perf_counter() - t0 < 0.1
+        assert b.blocks == (1, 2)
+
     def test_decode_periodic_phase_fold(self):
         # period written mid-block folds back to a block-aligned tail
         d = DigitString(3, (0,), (2, 0))
@@ -325,6 +334,19 @@ class TestBlockCodec:
              "digit 3 out of range for base 3"),
             (lambda: BlockSequence(3, 0, (True,)), InvalidBlockError,
              "block True out of range 1..2"),
+            (lambda: BlockSequence(4, 2, (1, 2)), InvalidBlockError,
+             "block 2 equals the marker digit"),
+            # the tail takes the same check as the blocks
+            (lambda: BlockSequence(3, 0, (1,), (0,)), InvalidBlockError,
+             "block 0 out of range 1..2"),
+            (lambda: BlockSequence(3, 0, (), (1, 3)), InvalidBlockError,
+             "block 3 out of range 1..2"),
+            (lambda: BlockSequence(5, 2, (1,), (3, 2)), InvalidBlockError,
+             "block 2 equals the marker digit"),
+            (lambda: BlockSequence(3, 0, (), (2.0,)), InvalidBlockError,
+             "block 2.0 out of range 1..2"),
+            (lambda: BlockSequence(3, 0, (1,), (False,)), InvalidBlockError,
+             "block False out of range 1..2"),
         ]
         block_decode(block_encode(BlockSequence(3, 0, (1, 2))), 0)
         for build, error, message in cases:
