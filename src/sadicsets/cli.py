@@ -27,7 +27,13 @@ from .combos import (
     tilde_alphabet,
 )
 from .cylinders import cylinder, gap_interval
-from .dimension import box_count_for_alphabet, dim_S, dim_alphabet
+from .dimension import (
+    _check_exponent,
+    _check_finest,
+    box_count_for_alphabet,
+    dim_S,
+    dim_alphabet,
+)
 from .errors import ResourceBudgetError, SadicError
 from .measure import cover_stage
 from .normality import (
@@ -61,7 +67,7 @@ class RunConfig:
     depth: int = 12
     k: int | None = None
     n: int = 12
-    scales: tuple[int, ...] = tuple(range(4, 11))
+    scales: tuple[int, ...] | range = tuple(range(4, 11))
     preperiod: tuple[int, ...] = ()
     period: tuple[int, ...] | None = None
     fmt: str = "json"
@@ -91,28 +97,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _ascii_int(text: str) -> int:
+    # int() also reads non-ASCII digits, "١٢" as 12
+    if not text.isascii():
+        raise ValueError(f"non-ASCII digits in {text!r}")
+    return int(text)
+
+
 def _parse_digits(text: str) -> tuple[int, ...]:
     # "021" for single-character digits, "0,2,1" for any base
     stripped = text.strip()
     parts = stripped.split(",") if "," in stripped else list(stripped)
     try:
-        return tuple(int(part) for part in parts)
+        return tuple(_ascii_int(part) for part in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected digits like 021 or 0,2,1, got {text!r}"
         ) from None
 
 
-def _parse_scales(text: str) -> tuple[int, ...]:
-    # "4..10" for a range, "4,6,8" for a list
+def _parse_scales(text: str) -> tuple[int, ...] | range:
+    # "4..10" for a span, kept a range until `_boxcount` checks its
+    # ends; "4,6,8" for a list
     stripped = text.strip()
     try:
         if not stripped:
             return ()
         if ".." in stripped:
             lo, hi = stripped.split("..", 1)
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(part) for part in stripped.split(","))
+            return range(_ascii_int(lo), _ascii_int(hi) + 1)
+        return tuple(_ascii_int(part) for part in stripped.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected scales like 4..10 or 4,6,8, got {text!r}"
@@ -279,8 +293,13 @@ def _boxcount(config: RunConfig) -> _Result:
         s, u = _need_su(config)
         a = induced_alphabet(s, u)
         params = {"s": s, "u": u}
-    params.update({"depth": config.depth, "scales": list(config.scales)})
-    r = box_count_for_alphabet(a, config.depth, list(config.scales))
+    scales = config.scales
+    if isinstance(scales, range) and scales:
+        # a span is checked at its ends before it is listed
+        _check_exponent(scales[0])
+        _check_finest(a.s, scales[-1])
+    params.update({"depth": config.depth, "scales": list(scales)})
+    r = box_count_for_alphabet(a, config.depth, list(scales))
     body = {"alpha_equation": dim_alphabet(a).alpha, **r.to_json()}
     if config.fmt != "csv":
         return params, body, None

@@ -8,11 +8,12 @@ cylinder is value(prefix) + s**-N * E, where E is the whole set; its
 hull therefore scales the whole-set extrema by s**-N exactly.
 
 Every prefix hull in the package, marker-run cylinders and covering
-stages included, is computed here in one integer form.  A prefix is an
-integer numerator num over s**N (`_extend`, `_word_steps`), and the
-whole-set extrema are put once over one common denominator q as
-(q, p_lo, p_hi) (`_over_one_denominator`, cached per alphabet by
-`_extrema_q`), so the prefix hull is
+stages included, is computed here in one integer form.  A prefix of N
+digits is the integer numerator num = `_digits_int` of its digits over
+s**N (`_word_steps` extends it a word at a time), and the whole-set
+extrema are put over one common denominator q as (q, p_lo, p_hi)
+(`_over_one_denominator`; `_extrema_q` for an alphabet), so the prefix
+hull is
 
     [num*q + p_lo, num*q + p_hi] / (q * s**N).
 
@@ -40,10 +41,15 @@ whose words, counted in closed form, would hold more than
 
 Whole-set extrema follow the single-word periodic rule: the least and
 greatest element are attained by repeating one alphabet word forever.
-`comboset_extrema` always re-checks that rule by brute force against
-every prefix hull up to the longest word plus three digits
-(`audit_extrema` takes any depth) and raises
-`ExtremaFalsificationError` with a witness if any hull pokes outside.
+`comboset_extrema` re-checks that rule by brute force against every
+prefix hull up to the longest word plus three digits (`audit_extrema`
+takes any depth) and raises `ExtremaFalsificationError` with a witness
+if any hull pokes outside.  The audit runs there alone, as an oracle
+for tests and the extrema cross-check row of `acceptance` (s <= 8):
+the hull layers read their extrema unaudited, `combo_cylinder`,
+`enumerate_prefixes` and box counting from `_extrema_q`, and the
+marker-set `cylinder`, `cylinder_order`, `point_locate` and
+`cover_stage` from the closed forms of `set_extrema`.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     ExtremaFalsificationError,
@@ -67,8 +72,8 @@ from .sadic import (
     _block_stats,
     _block_words,
     _digits_int,
+    _hull_order,
     _require_int,
-    block_alphabet,
     digits_to_rational,
 )
 
@@ -96,7 +101,8 @@ def _check_alphabet_digits(digits: int, what: str) -> None:
 def parse_word(word) -> tuple[int, ...]:
     """Accept a word as a digit string like "021" or a list of ints."""
     if isinstance(word, str):
-        if not word or not word.isdigit():
+        # ASCII only: str.isdigit also admits "²" and "١"
+        if not word or not (word.isascii() and word.isdigit()):
             raise WordError(f"malformed word {word!r}")
         return tuple(int(ch) for ch in word)
     out = tuple(word)
@@ -198,19 +204,12 @@ def sprime3_alphabet() -> ComboAlphabet:
 
 def induced_alphabet(s: int, u: int) -> ComboAlphabet:
     """The (s, u) marker-run set expressed as a combination alphabet:
-    words u^(c-1) c for the usable block values c."""
+    words u^(c-1) c for the usable block values c, listed in the order
+    of their sibling hulls (`_hull_order`), lowest first."""
     _, digits, _, _ = _block_stats(s, u)
     _check_alphabet_digits(digits, f"alphabet of (s={s}, u={u})")
-    words = tuple(_block_words((c,), u) for c in block_alphabet(s, u))
+    words = tuple(_block_words((c,), u) for c in _hull_order(s, u))
     return ComboAlphabet(s, words)
-
-
-def _extend(s: int, words, num: int = 0, scale: int = 1) -> tuple[int, int]:
-    """Prefix num / scale (scale = s**N) followed by ``words``, returned
-    in the same integer form."""
-    for _, step, v in _word_steps(s, words):
-        num, scale = num * step + v, scale * step
-    return num, scale
 
 
 def _word_steps(s: int, words) -> list[tuple[int, int, int]]:
@@ -254,7 +253,6 @@ def _extrema_raw(a: ComboAlphabet) -> tuple[Rational, Rational, tuple, tuple]:
     return lo, hi, wlo, whi
 
 
-@lru_cache(maxsize=256)
 def _extrema_q(a: ComboAlphabet) -> tuple[int, int, int]:
     """The alphabet's whole-set extrema as (q, p_lo, p_hi)."""
     return _over_one_denominator(*_extrema_raw(a)[:2])
@@ -428,8 +426,9 @@ def combo_cylinder(a: ComboAlphabet, base) -> ComboCylinder:
     for w in base:
         if w not in a.combos:
             raise WordError(f"word {word_str(w)} not in the alphabet")
-    lo, hi = _hull(*_extend(a.s, base), _extrema_q(a))
-    return ComboCylinder(a, base, sum(len(w) for w in base), lo, hi)
+    digits = [d for w in base for d in w]
+    lo, hi = _hull(_digits_int(digits, a.s), a.s ** len(digits), _extrema_q(a))
+    return ComboCylinder(a, base, len(digits), lo, hi)
 
 
 def enumerate_prefixes(

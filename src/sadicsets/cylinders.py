@@ -22,6 +22,15 @@ alphabet {u^(c-1) c}, so its hull comes from the integer prefix kernel
 of `combos`, with (inf0, sup0) over one denominator cached per (s, u)
 (`_set_extrema_q`).  `point_locate` descends in that integer form too
 and builds `Fraction`s only for the hull or gap it returns.
+
+The children of a prefix, one per block value c, have disjoint hulls in
+one fixed order, lowest first: the values below the marker ascending,
+then the values above it descending (`sadic._hull_order`, the word
+order of `induced_alphabet`).  Children c < c' first differ at their
+c-th digit, the closing digit c against the marker u, so child c lies
+below child c' exactly when c < u.  `cylinder_order` checks its
+endpoint verdict against this order, `point_locate` scans the children
+in it, and `measure.cover_stage` builds its stages in it.
 """
 
 from __future__ import annotations
@@ -30,19 +39,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combos import (
-    _extend,
-    _hull,
-    _over_one_denominator,
-    _word_steps,
-    induced_alphabet,
-)
+from .combos import _hull, _over_one_denominator, _word_steps, induced_alphabet
 from .errors import InvalidBaseError, RangeError, SadicError
 from .sadic import (
     BlockSequence,
     Rational,
     _block_words,
     _check_blocks,
+    _digits_int,
     _require_int,
     _validate_marker,
     block_alphabet,
@@ -112,8 +116,8 @@ def cylinder(s: int, u: int, base) -> Cylinder:
     """Build the cylinder for the block prefix ``base`` (exact)."""
     base = tuple(base)
     _validate_base(s, u, base)
-    num, scale = _extend(s, (_block_words(base, u),))
-    inf, sup = _hull(num, scale, _set_extrema_q(s, u))
+    word = _block_words(base, u)
+    inf, sup = _hull(_digits_int(word, s), s ** len(word), _set_extrema_q(s, u))
     return Cylinder(s, u, base, inf, sup)
 
 
@@ -145,8 +149,8 @@ def cylinder_order(s: int, u: int, base, p: int) -> str:
     "decreasing" when wholly above.
 
     The verdict is computed from exact endpoints and asserted against
-    the marker-regime layout (u <= 1 decreasing; u >= s-2 increasing;
-    in between, increasing below the marker and decreasing above it).
+    the sibling order of the module docstring, in which child p comes
+    before child p+1 exactly when p+1 < u.
     """
     base = tuple(base)
     alphabet = block_alphabet(s, u)
@@ -157,8 +161,8 @@ def cylinder_order(s: int, u: int, base, p: int) -> str:
         )
     _validate_base(s, u, base)
     q, p_lo, p_hi = _set_extrema_q(s, u)
-    low, _ = _extend(s, (_block_words(base + (p,), u),))
-    high, _ = _extend(s, (_block_words(base + (p + 1,), u),))
+    low = _digits_int(_block_words(base + (p,), u), s)
+    high = _digits_int(_block_words(base + (p + 1,), u), s)
     # child p+1 is one digit longer: over its denominator, the endpoints
     # of child p gain a factor s
     lower_inf, lower_sup = (low * q + p_lo) * s, (low * q + p_hi) * s
@@ -169,12 +173,7 @@ def cylinder_order(s: int, u: int, base, p: int) -> str:
         verdict = _ORDER_INCREASING
     else:
         raise SadicError("internal: adjacent children are not separated")
-    if u <= 1:
-        expected = _ORDER_DECREASING
-    elif u >= s - 2:
-        expected = _ORDER_INCREASING
-    else:
-        expected = _ORDER_INCREASING if p + 1 < u else _ORDER_DECREASING
+    expected = _ORDER_INCREASING if p + 1 < u else _ORDER_DECREASING
     if verdict != expected:
         raise SadicError(
             f"internal: ordering regime predicts {expected}, endpoints give {verdict}"
@@ -266,7 +265,9 @@ def point_locate(x, s: int, u: int, depth: int) -> LocateResult:
     scale*xd; the child appending a word (step, v) holds x exactly when
     p_lo*xd <= (y*step - v*xd)*q <= p_hi*xd.  So each level compares
     integers whose size does not grow with the depth, and `Fraction`s
-    are built only for the hull or gap returned.
+    are built only for the hull or gap returned.  The children are
+    scanned in hull order: x lies above each child before the one that
+    holds it, unless it lies below one first, in the gap under it.
     """
     _require_int(depth, 1, InvalidBaseError, "depth")
     x = _rational(x)
@@ -287,13 +288,28 @@ def point_locate(x, s: int, u: int, depth: int) -> LocateResult:
     num, scale, y = 0, 1, xn
     chain: list[int] = []
     for _ in range(depth):
-        # sibling hulls are disjoint, so at most one child holds x
-        for step, v, vx, c in kids:
+        lower = None  # the child below x, if any
+        for kid in kids:
+            step, v, vx, c = kid
             ky = y * step - vx
-            if lo_x <= ky * q <= hi_x:
+            kq = ky * q
+            if kq <= hi_x:
                 break
-        else:
-            return _locate_gap(x, chain, num, scale, ext, kids)
+            lower = kid
+        if kq < lo_x and lower is not None:
+            step_a, v_a, _, c_a = lower
+            gap = (
+                _hull(num * step_a + v_a, scale * step_a, ext)[1],
+                _hull(num * step + v, scale * step, ext)[0],
+            )
+            return LocateResult(
+                "excluded",
+                chain=tuple(chain),
+                gap=gap,
+                detail=f"in the gap between sibling blocks {c_a} and {c}",
+            )
+        if not lo_x <= kq <= hi_x:
+            raise SadicError("internal: point lost between children")
         num, scale, y = num * step + v, scale * step, ky
         chain.append(c)
     lo, hi = _hull(num, scale, ext)
@@ -312,23 +328,6 @@ def point_locate(x, s: int, u: int, depth: int) -> LocateResult:
         hull=(lo, hi),
         detail=f"interior to its depth-{depth} hull; membership unresolved",
     )
-
-
-def _locate_gap(x, chain, num, scale, ext, kids) -> LocateResult:
-    # x lies in no child of num/scale: find the gap between the sorted
-    # sibling hulls that holds it.
-    hulls = sorted(
-        (*_hull(num * step + v, scale * step, ext), c) for step, v, _, c in kids
-    )
-    for a, b in zip(hulls, hulls[1:]):
-        if a[1] < x < b[0]:
-            return LocateResult(
-                "excluded",
-                chain=tuple(chain),
-                gap=(a[1], b[0]),
-                detail=f"in the gap between sibling blocks {a[2]} and {b[2]}",
-            )
-    raise SadicError("internal: point lost between children")
 
 
 def extension_value_bounds(

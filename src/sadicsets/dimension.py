@@ -277,6 +277,21 @@ def _fit(counts: list[tuple[Rational, int]]) -> BoxCountResult:
     return BoxCountResult(slope, tuple(counts), len(fit))
 
 
+def _check_exponent(j) -> None:
+    if type(j) is not int or j < 0:
+        raise ScaleMismatchError(f"scale exponent {j!r} must be an int >= 0")
+
+
+def _check_finest(s: int, fine: int) -> None:
+    # s**-J <= 2**-(J * (bits(s) - 1)), and 2**-1075, half the least
+    # subnormal, rounds to 0.0; short of that bound s**J has < 2150 bits.
+    if fine * (s.bit_length() - 1) >= 1075 or 1 / s**fine == 0.0:
+        raise ScaleMismatchError(
+            f"finest scale {s}**-{fine} rounds to 0.0 as a double, "
+            "and the slope is fitted in doubles"
+        )
+
+
 def box_count_for_alphabet(
     a: ComboAlphabet, depth: int, scale_exponents: list[int]
 ) -> BoxCountResult:
@@ -300,8 +315,7 @@ def box_count_for_alphabet(
     counts are still reported.
     """
     for j in scale_exponents:
-        if type(j) is not int or j < 0:
-            raise ScaleMismatchError(f"scale exponent {j!r} must be an int >= 0")
+        _check_exponent(j)
     frontier = _frontier(a, depth, "depth")
     exps = sorted(scale_exponents)  # coarse first
     if len(exps) < 3:
@@ -309,13 +323,7 @@ def box_count_for_alphabet(
     if len(set(exps)) != len(exps):
         raise ScaleMismatchError("scales must be distinct")
     s, fine = a.s, exps[-1]
-    # s**-J <= 2**-(J * (bits(s) - 1)), and 2**-1075, half the least
-    # subnormal, rounds to 0.0; short of that bound s**J has < 2150 bits.
-    if fine * (s.bit_length() - 1) >= 1075 or 1 / s**fine == 0.0:
-        raise ScaleMismatchError(
-            f"finest scale {s}**-{fine} rounds to 0.0 as a double, "
-            "and the slope is fitted in doubles"
-        )
+    _check_finest(s, fine)
     q, p_lo, p_hi = _extrema_q(a)
     levels = [(n, nums) for n, nums, _ in frontier if nums]
     n_min = levels[0][0]

@@ -13,9 +13,10 @@ of its predecessor's length, and
 an exact geometric decay witnessing zero Lebesgue measure.  Stage k is
 built level by level, extending each prefix numerator by every block
 word with the integer prefix kernel of `combos`, and already in hull
-order: the words are sorted once by their rank-1 hulls, and each parent
-is followed by its children in that order.  Rank-k hulls are disjoint
-and nest in their parents', so the list comes out sorted.  Its hulls are
+order: `induced_alphabet` lists the words in the sibling order of
+`cylinders`, and each parent is followed by its children in that order.
+Rank-k hulls are disjoint and nest in their parents', so the list comes
+out sorted.  Its hulls are
 put over the one denominator q * s**N, N the largest digit total of the
 stage, where one linear pass certifies the order: each hull's top lies
 strictly below the next hull's bottom, which proves sorted and disjoint
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combos import Interval, _extend, _hull, _word_steps, induced_alphabet
+from .combos import Interval, _hull, _word_steps, induced_alphabet
 from .cylinders import _set_extrema_q, set_extrema
 from .errors import RangeError, ResourceBudgetError, SadicError
 from .sadic import Rational, _block_stats, _require_int, block_alphabet, rational_json
@@ -103,11 +104,7 @@ def cover_stage(s: int, u: int, k: int) -> CoverStage:
             f"budget is {STAGE_BUDGET}"
         )
     ext = q, p_lo, p_hi = _set_extrema_q(s, u)
-    # the words in the order of their rank-1 hulls
-    words = sorted(
-        induced_alphabet(s, u).combos, key=lambda w: _hull(*_extend(s, (w,)), ext)
-    )
-    steps = _word_steps(s, words)
+    steps = _word_steps(s, induced_alphabet(s, u).combos)  # in hull order
     # (num, n): the prefix value num / s**n, parents in hull order and
     # each parent's children in word order
     prefixes = [(0, 0)]

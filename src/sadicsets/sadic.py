@@ -24,8 +24,9 @@ The block values of (s, u) are 1..s-1 without the marker u.
 only their count, sum, least or largest value (the codec's longest
 marker run, stage and solve budgets) reads `_block_stats`, which
 states them in closed form, so a huge base lists nothing before its
-budget check.  `_check_blocks` is the one check of block entries, for
-`BlockSequence` and for cylinder bases alike.
+budget check.  `_hull_order` lists them in the order of their sibling
+cylinders (see `cylinders`).  `_check_blocks` is the one check of block
+entries, for `BlockSequence` and for cylinder bases alike.
 """
 
 from __future__ import annotations
@@ -110,6 +111,13 @@ def _block_stats(s: int, u: int) -> tuple[int, int, int, int]:
     _validate_marker(s, u)
     count, total = s - 1 - (u > 0), s * (s - 1) // 2 - u
     return count, total, 1 + (u == 1), s - 1 - (u == s - 1)
+
+
+def _hull_order(s: int, u: int) -> tuple[int, ...]:
+    """`block_alphabet(s, u)` in the order of the sibling hulls, lowest
+    first: the values below the marker ascending, then those above it
+    descending."""
+    return (*range(1, u), *range(s - 1, u, -1))
 
 
 def _check_blocks(s: int, u: int, blocks, error: type[SadicError], what: str) -> None:
@@ -349,10 +357,11 @@ def _new(cls, **fields):
 
 def _block_words(blocks: tuple[int, ...], u: int) -> tuple[int, ...]:
     """The digit words u^(c-1) c of the blocks c, concatenated."""
-    out: tuple[int, ...] = ()
+    out: list[int] = []
     for c in blocks:
-        out += (u,) * (c - 1) + (c,)
-    return out
+        out.extend((u,) * (c - 1))
+        out.append(c)
+    return tuple(out)
 
 
 def block_encode(b: BlockSequence) -> DigitString:
@@ -363,17 +372,18 @@ def block_encode(b: BlockSequence) -> DigitString:
     return _new(DigitString, base=b.base, preperiod=pre, period=per)
 
 
-def _split_blocks(digits, s: int, u: int, run: int = 0, pos: int = 0):
+def _split_blocks(digits, s: int, u: int, pos: int = 0):
     """Blocks closed by ``digits`` and the marker run left pending.
 
-    ``run`` markers are already pending before ``digits``, whose first
-    digit sits at 1-based offset ``pos + 1``.  Every digit other than
+    The first digit of ``digits`` opens a block and sits at 1-based
+    offset ``pos + 1``.  Every digit other than
     the marker closes a block, so a violation (marker run too long, a
     wrong closing digit, a stray zero) raises `NotAMemberError` at the
     offset of the digit where it shows.
     """
     max_run = _block_stats(s, u)[3] - 1
     blocks: list[int] = []
+    run = 0
     for pos, digit in enumerate(digits, pos + 1):
         if digit == u:
             run += 1
@@ -429,7 +439,7 @@ def block_decode(d: DigitString, u: int) -> BlockSequence:
     else:
         j = 0
     blocks, _ = _split_blocks(pre + per[:j], s, u)
-    tail, _ = _split_blocks(per[j:] + per[:j], s, u, 0, npre + j)
+    tail, _ = _split_blocks(per[j:] + per[:j], s, u, npre + j)
     return _new(
         BlockSequence, base=s, marker=u, blocks=tuple(blocks), tail=tuple(tail)
     )

@@ -91,6 +91,9 @@ class TestDim:
             '{"s": 3.9, "combos": ["021", "102"]}',
             '{"s": 3, "combos": [[0, 2, 1], [1.5, 0, 2]]}',
             '{"s": 3, "combos": [[0, 2, 1], [true, 0, 2]]}',
+            # str.isdigit() holds for both, int() reads the second as 12
+            '{"s": 3, "combos": ["\u00b2"]}',
+            '{"s": 3, "combos": ["\u0661\u0662"]}',
         ]):
             f = tmp_path / f"alpha{i}.json"
             f.write_text(text)
@@ -242,6 +245,9 @@ class TestSubcommands:
             (["--s", "3", "--u", "0", "--scales", "4,5,2000"], None),
             # the one point {1}: 3**-678 is the last power of 3 above 0.0
             (["--depth", "3", "--scales", "1,2,679"], "1,2,678"),
+            # a span is refused from its last exponent, before it is listed
+            (["--s", "3", "--u", "0", "--scales", "4..1000000"], None),
+            (["--s", "3", "--u", "0", "--scales", "4..1000000000"], None),
         ],
     )
     def test_boxcount_underflowing_scale_exit(self, argv, admitted, tmp_path, capsys):
@@ -335,6 +341,8 @@ class TestHarness:
     def test_bad_flag_exits_one(self, capsys):
         assert main(["dim", "--nonsense"]) == 1
         assert main(["cylinder", "--s", "3", "--u", "0", "--base", "x"]) == 1
+        # int() reads Arabic-Indic digits, "\u0661,\u0662" as 1,2
+        assert main(["cylinder", "--s", "3", "--u", "0", "--base", "\u0661,\u0662"]) == 1
         assert main(["boxcount", "--s", "3", "--u", "0", "--scales", "4..x"]) == 1
         err = capsys.readouterr().err
         assert "argument --base: expected digits" in err
@@ -380,12 +388,15 @@ def _quiet_main(argv):
 
 _INT = st.integers(-3, 8).map(str)
 _BASE = st.integers(3, 8).map(str) | _INT  # a valid s reaches the library more often
-_DIGITS = st.sampled_from(["", ",", "x", "1.5", "-1", "1,,2"]) | st.text("0123456789,", max_size=6)
+_DIGITS = st.sampled_from(
+    ["", ",", "x", "1.5", "-1", "1,,2", "\u0661\u0662", "\u00b2"]
+) | st.text("0123456789,", max_size=6)
 _EXPONENT = st.integers(-3, 8) | st.integers(9, 10**9)
 _SCALES = (
     st.builds("{}..{}".format, st.integers(-3, 8), st.integers(-3, 8))
-    # a short range of huge exponents; a long one would list them all
+    # spans of huge exponents, short and long, and long spans from below 0
     | st.builds(lambda lo, n: f"{lo}..{lo + n}", st.integers(9, 10**9), st.integers(-3, 8))
+    | st.builds("{}..{}".format, st.integers(-10**9, 8), st.integers(9, 10**9))
     | st.lists(_EXPONENT, max_size=5).map(lambda js: ",".join(map(str, js)))
     | st.sampled_from(["x", "4..x", "1.5", ".."])
 )

@@ -25,6 +25,7 @@ from sadicsets import (
     set_extrema,
 )
 from sadicsets.cylinders import LocateResult
+from sadicsets.sadic import _hull_order
 
 
 def _reference_locate(x, s, u, depth):
@@ -244,6 +245,20 @@ class TestOrdering:
         # middle markers order adjacent pairs by which side of u they sit on
         assert cylinder_order(6, 3, (), 1) == "increasing"
         assert cylinder_order(6, 3, (), 4) == "decreasing"
+
+    @pytest.mark.parametrize("s", range(3, 13))
+    def test_hull_order_sorts_the_rank_one_hulls(self, s):
+        # the one statement of the sibling order, against `Fraction`
+        # hulls tau + s**-c * [inf0, sup0] of the children of the root
+        for u in range(s):
+            lo0, hi0 = set_extrema(s, u)
+            hulls = []
+            for c in block_alphabet(s, u):
+                tau = digits_to_rational(DigitString(s, (u,) * (c - 1) + (c,)))
+                hulls.append((tau + lo0 / s**c, tau + hi0 / s**c, c))
+            hulls.sort()
+            assert all(a[1] < b[0] for a, b in zip(hulls, hulls[1:]))
+            assert _hull_order(s, u) == tuple(c for _, _, c in hulls)
 
     def test_rejects_missing_sibling(self):
         with pytest.raises(InvalidBaseError):

@@ -291,6 +291,14 @@ class TestBlockCodec:
         assert time.perf_counter() - t0 < 0.1
         assert b.blocks == (1, 2)
 
+    def test_encode_is_linear_in_the_blocks(self):
+        # the digit words are joined in one pass, not re-copied per block
+        blocks = (1, 2) * 50_000
+        t0 = time.perf_counter()
+        d = block_encode(BlockSequence(3, 0, blocks))
+        assert time.perf_counter() - t0 < 0.5
+        assert d.preperiod == (1, 0, 2) * 50_000
+
     def test_decode_periodic_phase_fold(self):
         # period written mid-block folds back to a block-aligned tail
         d = DigitString(3, (0,), (2, 0))
