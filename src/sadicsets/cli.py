@@ -105,15 +105,15 @@ def _ascii_int(text: str) -> int:
 
 
 def _parse_digits(text: str) -> tuple[int, ...]:
-    # "021" for single-character digits, "0,2,1" for any base
+    # "021" for single-character digits, "0,2,1" for any base; each part
+    # ASCII digits alone, as int() also reads "1_0", "+2" and " 2"
     stripped = text.strip()
     parts = stripped.split(",") if "," in stripped else list(stripped)
-    try:
-        return tuple(_ascii_int(part) for part in parts)
-    except ValueError:
+    if not all(part.isascii() and part.isdigit() for part in parts):
         raise argparse.ArgumentTypeError(
             f"expected digits like 021 or 0,2,1, got {text!r}"
-        ) from None
+        )
+    return tuple(int(part) for part in parts)
 
 
 def _parse_scales(text: str) -> tuple[int, ...] | range:

@@ -17,10 +17,11 @@ hull is
 
     [num*q + p_lo, num*q + p_hi] / (q * s**N).
 
-Layers that only compare, count or sum hulls (the frontier audit, box
-counting, covering stages, point location) stay in these integers; a
-hull endpoint becomes a `Fraction` only when an API returns it
-(`_hull`).
+Layers that only compare or sum hulls (the frontier audit, covering
+stages, point location) stay in these integers; a hull endpoint
+becomes a `Fraction` only when an API returns it, in `_hull`, which
+builds it with the trusted constructor `sadic._fraction`: one gcd and
+no argument checks.
 
 The frontier at depth D (`_frontier`) is built level by level over
 digit totals: every word sequence of total n <= D - L, L the longest
@@ -28,8 +29,9 @@ word, is a parent and is extended by each word; the sequences of total
 n in (D - L, D] are the frontier, handed out as one group of numerators
 per n.  Word paths ride along only for a caller that returns or reports
 words (`enumerate_prefixes`, and the audit once it has found a prefix
-outside the claim); box counting and the audit's integer test see
-numerators alone.
+outside the claim); the audit's integer test sees numerators alone.
+Box counting reads no frontier: it counts by transfer over the word
+automaton (see `dimension`), and takes only the extrema from here.
 
 Frontier enumeration is refused with `ResourceBudgetError` when the
 exact frontier size, counted from the length histogram alone
@@ -72,6 +74,7 @@ from .sadic import (
     _block_stats,
     _block_words,
     _digits_int,
+    _fraction,
     _hull_order,
     _require_int,
     digits_to_rational,
@@ -79,13 +82,14 @@ from .sadic import (
 
 Interval = tuple[Rational, Rational]
 
-# Most frontier prefixes one enumeration may visit, and most digits a
-# built-in alphabet may hold.  At the budget ({0, 1} in base 2 at depth
-# 20), box counting takes about 0.8 s and 110 MB above the interpreter,
-# the extrema audit 0.3 s and 65 MB, and `enumerate_prefixes`, which
-# returns a `Fraction` hull per prefix, 12-14 s and 730 MB (2 cores,
-# Python 3.11); the CLI default `boxcount --alphabet tilde:5` needs
-# 55,789.
+# Most frontier prefixes one enumeration may visit, most trie-edge reads
+# one box-counting transfer may make (`dimension._word_automaton`), and
+# most digits a built-in alphabet may hold.  At the budget ({0, 1} in
+# base 2 at depth 20), the extrema audit takes about 0.3 s and 65 MB
+# above the interpreter, and `enumerate_prefixes`, which returns a
+# `Fraction` hull per prefix, 12-14 s and 730 MB; a transfer near it
+# (tilde:20 to exponent 248, tilde:40 to 79) 0.1-0.2 s and under 5 MB
+# (2 cores, Python 3.11).
 FRONTIER_BUDGET = 1 << 20
 
 
@@ -230,10 +234,11 @@ def _over_one_denominator(lo: Rational, hi: Rational) -> tuple[int, int, int]:
 def _hull(num: int, scale: int, extrema_q: tuple[int, int, int]) -> Interval:
     """Hull [num*q + p_lo, num*q + p_hi] / (q*scale) of the prefix
     num/scale, given the whole-set extrema (q, p_lo, p_hi) over one
-    denominator; the one place a hull becomes `Fraction`s."""
+    denominator; the one place a hull becomes `Fraction`s, through the
+    trusted `_fraction`."""
     q, p_lo, p_hi = extrema_q
     top, den = num * q, q * scale
-    return Fraction(top + p_lo, den), Fraction(top + p_hi, den)
+    return _fraction(top + p_lo, den), _fraction(top + p_hi, den)
 
 
 def _word_value(a: ComboAlphabet, w: tuple[int, ...]) -> Rational:

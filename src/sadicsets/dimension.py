@@ -11,18 +11,20 @@ bisecting t on dyadic rationals with integer sign tests certifies the
 root by an exact bracket P(t_lo) < 1 <= P(t_hi).  m = 1 gives alpha = 0
 and sum_k N_k s**-k = 1 (words tiling the interval) gives alpha = 1.
 
-`box_count_for_alphabet` measures the covering exponent of the
-alphabet's prefix hulls and serves as the empirical cross-check on the
-algebraic root; it never looks at the equation.  It counts the boxes
-straight from the integer prefix frontier of `combos`, by digit
-truncation.  A frontier prefix y / s**n has the hull
-[y*q + p_lo, y*q + p_hi] / (q * s**n), with 0 <= p_lo <= p_hi <= q; for
-n >= J, s**-J the finest scale, it lies in [y, y+1] / s**n, and its
-endpoints meet the boxes (y + (p == q)) // s**(n-J): one floor division
-of a small integer per prefix, the box after y's only for an endpoint
-equal to 1.  A prefix with n < J, admitted when its hull is no wider
-than s**-J, keeps the exact (y*q + p) * s**(J-n) // q.  Every coarser
-box index follows by nesting, floor(x s**j) = floor(x s**J) // s**(J-j).
+`box_count_for_alphabet` measures the covering exponent of the set and
+serves as the empirical cross-check on the algebraic root; it never
+looks at the equation.  It counts the boxes [i, i+1) / s**j the set
+meets by transfer over the alphabet's word automaton, the subset
+construction of its word trie (Lind & Marcus, 1995): the j-digit
+prefixes of the set's streams are the j-step paths from the start, so
+each scale costs one integer vector step, and the counts grow at the
+automaton's spectral radius, whose log over log s is the dimension
+(Furstenberg, 1967).  The carry rule: a point whose stream is
+t (s-1)^inf lies in box t+1, not t, so each such prefix t whose
+successor t+1 is no prefix adds one box, counted by the same transfer.
+These are exactly the boxes the depth-D prefix hulls meet once none is
+wider than the finest scale, so the depth feeds only that width check,
+and no prefix frontier is walked.
 """
 
 from __future__ import annotations
@@ -30,11 +32,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from .combos import ComboAlphabet, _extrema_q, _frontier, tilde_alphabet
-from .errors import InvalidBaseError, ResourceBudgetError, ScaleMismatchError
+from .combos import FRONTIER_BUDGET, ComboAlphabet, _extrema_q, tilde_alphabet
+from .errors import (
+    InvalidBaseError,
+    RangeError,
+    ResourceBudgetError,
+    ScaleMismatchError,
+)
 from .sadic import (
     Rational,
     _block_stats,
@@ -292,22 +300,169 @@ def _check_finest(s: int, fine: int) -> None:
         )
 
 
+def _word_automaton(a: ComboAlphabet, levels: int) -> list[list[tuple[int, int]]]:
+    """The subset automaton of the alphabet's word trie, as one row of
+    (digit, next state) pairs per state; state 0 is the start.
+
+    A state is the set of trie nodes a digit string can have reached:
+    the proper word prefixes still being read, and the root once a word
+    has just closed.  A digit with no pair leads to the empty set, which
+    no stream passes.  Every listed state is live, as each prefix
+    completes to a word and each word to a stream.
+
+    A state's row is built from the trie edges out of its nodes, and a
+    transfer step reads at most those edges again, so the edges read
+    are counted as states are found: once they times ``levels`` exceed
+    `FRONTIER_BUDGET`, the work is refused with `ResourceBudgetError`.
+    """
+    children: list[dict[int, int]] = [{}]
+    closes = [False]
+    for w in a.combos:
+        node = 0
+        for d in w:
+            if d not in children[node]:
+                children[node][d] = len(children)
+                children.append({})
+                closes.append(False)
+            node = children[node][d]
+        closes[node] = True
+    # the nodes reached through trie node c: the root if c closes a
+    # word, and c itself if some word runs on past it
+    enter = [
+        (0,) * close + (c,) * bool(kids)
+        for c, (kids, close) in enumerate(zip(children, closes))
+    ]
+    index = {frozenset((0,)): 0}
+    states = list(index)
+    rows = []
+    edges = 0
+    for state in states:  # grows as new states are found
+        out: dict[int, set[int]] = {}
+        for node in state:
+            edges += len(children[node])
+            for d, c in children[node].items():
+                out.setdefault(d, set()).update(enter[c])
+        if edges * levels > FRONTIER_BUDGET:
+            raise ResourceBudgetError(
+                f"box counting over {levels} digit levels would read at "
+                f"least {edges} trie edges per level, {edges * levels} in "
+                f"all, budget is {FRONTIER_BUDGET}"
+            )
+        row = []
+        for d, nodes in sorted(out.items()):
+            key = frozenset(nodes)
+            if key not in index:
+                index[key] = len(states)
+                states.append(key)
+            row.append((d, index[key]))
+        rows.append(row)
+    return rows
+
+
+def _lifetimes(rows: list[list[tuple[int, int]]], digit: int) -> list[int | None]:
+    """Per state, how many copies of ``digit`` in a row lead it to the
+    empty set; None when it reads them forever."""
+    follow = [dict(row).get(digit) for row in rows]
+    life: list = [-1] * len(rows)  # -1 unknown, -2 on the current walk
+    for first in range(len(rows)):
+        walk, i = [], first
+        while i is not None and life[i] == -1:
+            life[i] = -2
+            walk.append(i)
+            i = follow[i]
+        # a walk that closes on itself never dies
+        tail = 0 if i is None else (None if life[i] == -2 else life[i])
+        for j in reversed(walk):
+            tail = None if tail is None else tail + 1
+            life[j] = tail
+    return life
+
+
+def _transfer_counts(a: ComboAlphabet, fine: int) -> list[int]:
+    """The boxes [i, i+1) / s**j the alphabet's set meets, for j = 0..fine.
+
+    A point with the digit stream t x_{j+1} x_{j+2} ... lies in box t,
+    t read as an integer, unless the digits after t are all s-1: then
+    it lies in box t+1.  Let P_j be the j-digit prefixes of the set's
+    streams, the j-step paths of the word automaton from its start, and
+    C_j those t for which t (s-1)^inf is a stream.  After any word some
+    stream has a digit below s-1, so unless the set is {1} its boxes
+    are P_j union (C_j + 1): |P_j| boxes plus one carry box per t in C_j
+    with t+1 not in P_j.
+
+    Such a t is (s-1)^j, when (s-1)^inf is a stream, or x d (s-1)^r
+    with d < s-1.  Then x d (s-1)^inf is a stream, and t+1 = x (d+1) 0^r
+    leaves P_j once r reaches the zeros that the state after x (d+1)
+    reads before it dies.  So when the transfer reads x, each such d of
+    x's state adds its paths to the carries of every level from
+    |x| + 1 + r on.
+    """
+    s = a.s
+    if all(d == s - 1 for w in a.combos for d in w):
+        return [1] * (fine + 1)  # the one point 1, in box s**j
+    rows = _word_automaton(a, fine + 1)
+    tops, zeros = _lifetimes(rows, s - 1), _lifetimes(rows, 0)
+    waits = []  # per state, the zeros r of each carry x d (s-1)^r
+    for row in rows:
+        out = dict(row)
+        wait = [
+            zeros[out[d + 1]] if d + 1 in out else 0
+            for d, nxt in row
+            if d < s - 1 and tops[nxt] is None
+        ]
+        waits.append([r for r in wait if r is not None])
+    paths = [1] + [0] * (len(rows) - 1)
+    sizes, carries = [], [0] * (fine + 1)
+    carries[0] = int(tops[0] is None)  # (s-1)^j, at every level
+    for j in range(fine + 1):
+        sizes.append(sum(paths))
+        if j == fine:
+            break
+        step = [0] * len(rows)
+        for i, n in enumerate(paths):
+            if n:
+                for _, nxt in rows[i]:
+                    step[nxt] += n
+                for r in waits[i]:
+                    if j + 1 + r <= fine:
+                        carries[j + 1 + r] += n
+        paths = step
+    return [size + carry for size, carry in zip(sizes, accumulate(carries))]
+
+
+def _shallowest_total(a: ComboAlphabet, depth: int) -> int:
+    """The least digit total of a frontier prefix at ``depth``: a word
+    sequence of total p <= depth - L, L the longest word, then one word
+    that carries it past depth - L."""
+    low = depth - a.max_len
+    lengths = a.length_counts
+    reach = [True] + [False] * low
+    for n in range(1, low + 1):
+        reach[n] = any(reach[n - k] for k in lengths if k <= n)
+    return min(p + k for p in range(low + 1) if reach[p] for k in lengths if p + k > low)
+
+
 def box_count_for_alphabet(
     a: ComboAlphabet, depth: int, scale_exponents: list[int]
 ) -> BoxCountResult:
-    """Box-count the alphabet's set from its depth-`depth` prefix hulls
-    at scales s**-j for the given exponents j.
+    """Box-count the alphabet's set at scales s**-j for the given
+    exponents j, as its depth-`depth` prefix hulls meet the boxes.
 
-    The boxes are those the `enumerate_prefixes` hulls meet, counted in
-    integers.  The frontier hull of y / s**n has the endpoints
-    (y*q + p) / (q * s**n), p in {p_lo, p_hi}, and meets box
-    floor((y*q + p) / (q * s**(n-J))) at the finest exponent J.  For
-    n >= J that box is (y + (p == q)) // s**(n-J), as 0 <= p <= q:
-    digit truncation, with no q at all, and an endpoint reaches the
-    next box only when it is 1.
-    A prefix with n < J, which the width check admits when its hull is
-    narrow enough, keeps the exact (y*q + p) * s**(J-n) // q.  Box i at
-    exponent J lies in box i // s**(J-j) at exponent j.
+    The frontier hull of a prefix y / s**n has the endpoints
+    y (w_lo)^inf and y (w_hi)^inf, both in the set, and covers every
+    stream through y.  So once no hull is wider than the finest scale
+    s**-J, each hull meets at most the two boxes of its endpoints, and
+    the hulls meet exactly the boxes the set meets.  Those are counted
+    by transfer over the word automaton (`_transfer_counts`), in
+    integers, for every j <= J at once, whatever the depth.
+
+    ``depth`` feeds only that width check.  It must be an int no less
+    than the longest word; the widest hull belongs to the shallowest
+    frontier total n_min >= depth - L + 1, so only a finest exponent
+    above depth - L + 1 needs n_min, and no power past s**J is built.
+    The transfer is refused with `ResourceBudgetError` when the trie
+    edges its automaton reads, times J + 1 levels, exceed
+    `FRONTIER_BUDGET` (`_word_automaton`).
 
     The exponents must be ints >= 0, at least 3 and distinct; as the
     slope is fitted in doubles, s**-J must not round to 0.0.  With five
@@ -316,7 +471,7 @@ def box_count_for_alphabet(
     """
     for j in scale_exponents:
         _check_exponent(j)
-    frontier = _frontier(a, depth, "depth")
+    _require_int(depth, a.max_len, RangeError, "depth")
     exps = sorted(scale_exponents)  # coarse first
     if len(exps) < 3:
         raise ScaleMismatchError(f"need at least 3 scales, got {len(exps)}")
@@ -324,34 +479,18 @@ def box_count_for_alphabet(
         raise ScaleMismatchError("scales must be distinct")
     s, fine = a.s, exps[-1]
     _check_finest(s, fine)
-    q, p_lo, p_hi = _extrema_q(a)
-    levels = [(n, nums) for n, nums, _ in frontier if nums]
-    n_min = levels[0][0]
-    # the widest hull, (p_hi - p_lo) / (q * s**n_min), is at most s**-J
-    if (p_hi - p_lo) * s**fine > q * s**n_min:
-        resolved = n_min  # p_hi - p_lo <= q, so exponent n_min is resolved
-        while (p_hi - p_lo) * s ** (resolved + 1) <= q * s**n_min:
-            resolved += 1
-        raise ScaleMismatchError(
-            f"hull width {Fraction(p_hi - p_lo, q * s**n_min)} exceeds finest "
-            f"scale {Fraction(1, s**fine)}; enumerate deeper or coarsen the "
-            f"scales; the finest exponent depth {depth} resolves is {resolved}"
-        )
-    boxes: set[int] = set()
-    for n, nums in levels:
-        if n >= fine:
-            d = s ** (n - fine)
-            if p_lo < q:  # unless the set is {1}
-                boxes.update([y // d for y in nums])
-            if p_hi == q:  # the endpoint 1 carries into the next box
-                boxes.update([(y + 1) // d for y in nums])
-        else:
-            m = s ** (fine - n)
-            for p in (p_lo, p_hi):
-                boxes.update([(y * q + p) * m // q for y in nums])
-    counts = [len(boxes)]
-    for j, coarser in zip(reversed(exps), reversed(exps[:-1])):
-        m = s ** (j - coarser)
-        boxes = {i // m for i in boxes}
-        counts.append(len(boxes))
-    return _fit([(Fraction(1, s**j), n) for j, n in zip(exps, reversed(counts))])
+    if depth - a.max_len + 1 < fine:
+        q, p_lo, p_hi = _extrema_q(a)
+        n_min = _shallowest_total(a, depth)
+        # the widest hull, (p_hi - p_lo) / (q * s**n_min), is at most s**-J
+        if (p_hi - p_lo) * s**fine > q * s**n_min:
+            resolved = n_min  # p_hi - p_lo <= q, so exponent n_min is resolved
+            while (p_hi - p_lo) * s ** (resolved + 1) <= q * s**n_min:
+                resolved += 1
+            raise ScaleMismatchError(
+                f"hull width {Fraction(p_hi - p_lo, q * s**n_min)} exceeds finest "
+                f"scale {Fraction(1, s**fine)}; enumerate deeper or coarsen the "
+                f"scales; the finest exponent depth {depth} resolves is {resolved}"
+            )
+    counts = _transfer_counts(a, fine)
+    return _fit([(Fraction(1, s**j), counts[j]) for j in exps])

@@ -31,6 +31,7 @@ entries, for `BlockSequence` and for cylinder bases alike.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -353,6 +354,17 @@ def _new(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    # Trusted construction of num/den in lowest terms, for ints
+    # num >= 0 and den > 0: one gcd, then the two slots set directly, as
+    # `Fraction`'s own arithmetic builds its results, skipping the
+    # argument checks of `Fraction(num, den)`.
+    g = math.gcd(num, den)
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = num // g, den // g
+    return x
 
 
 def _block_words(blocks: tuple[int, ...], u: int) -> tuple[int, ...]:

@@ -166,15 +166,34 @@ class TestSubcommands:
     def test_measure_budget_exit(self):
         assert main(["measure", "--s", "4", "--u", "0", "--k", "12"]) == 2
 
-    def test_boxcount_frontier_budget_exit(self, capsys):
-        # about 1.7e20 frontier prefixes: refused from the length
-        # histogram alone, before any prefix is built
+    @pytest.mark.parametrize(
+        "argv,shallow",
+        [
+            # 17 is the shallowest depth whose hulls resolve 9**-10
+            (["--alphabet", "tilde:9", "--depth", "40"], "17"),
+            (["--s", "3", "--u", "0", "--depth", "100000"], "12"),
+            (["--s", "3", "--u", "0", "--depth", "1000000"], "12"),
+            # one word: the one point {1}
+            (["--alphabet", "<point>", "--depth", "100000"], "12"),
+        ],
+    )
+    def test_deep_boxcount_exits_zero(self, argv, shallow, tmp_path, capsys):
+        # box counting walks no prefix frontier: the depth feeds only
+        # the width check, and every depth that passes it meets the
+        # same boxes
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"s": 3, "combos": ["2"]}))
+        argv = ["boxcount", *(str(point) if arg == "<point>" else arg for arg in argv)]
+        assert main(argv) == 0  # the first call also warms up argparse
+        capsys.readouterr()
         t0 = time.perf_counter()
-        assert main(["boxcount", "--alphabet", "tilde:9", "--depth", "40"]) == 2
+        assert main(argv) == 0
         assert time.perf_counter() - t0 < 1.0
-        err = capsys.readouterr().err
-        assert "171774086543076382009 frontier prefixes" in err
-        assert "Traceback" not in err
+        deep = json.loads(capsys.readouterr().out)
+        assert main([*argv[:-1], shallow]) == 0
+        want = json.loads(capsys.readouterr().out)
+        assert deep["counts"] == want["counts"]
+        assert deep["slope"] == want["slope"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -209,12 +228,6 @@ class TestSubcommands:
             # the stage's block count and sum come in closed form
             (["measure", "--s", "10000000", "--u", "0", "--k", "1"], 0.1,
              "stage 1 for (s=10000000, u=0)"),
-            # the frontier is refused from the bound m**j: its exact
-            # count would take seconds and have too many digits to print
-            (["boxcount", "--s", "3", "--u", "0", "--depth", "100000"], 1.0,
-             "depth 100000 would enumerate at least 2**49999 frontier prefixes"),
-            (["boxcount", "--s", "3", "--u", "0", "--depth", "1000000"], 1.0,
-             "depth 1000000 would enumerate at least 2**499999 frontier prefixes"),
         ],
     )
     def test_refused_without_a_traceback(self, argv, seconds, message, capsys):
@@ -348,6 +361,17 @@ class TestHarness:
         assert "argument --base: expected digits" in err
         assert "argument --scales: expected scales" in err
         assert "_parse_" not in err
+        # int() also reads underscores, signs and blanks in each part
+        for argv in (
+            ["cylinder", "--s", "12", "--u", "0", "--base", "1_0,+2"],
+            ["cylinder", "--s", "12", "--u", "0", "--base", " 1, 2"],
+            ["generate", "--s", "12", "--u", "0", "--blocks", "1,-2"],
+            ["generate", "--s", "12", "--u", "0", "--tail", "1 ,2"],
+            ["freq", "--s", "12", "--k", "3", "--preperiod", "+1"],
+            ["freq", "--s", "12", "--k", "3", "--period", "0_1"],
+        ):
+            assert main(argv) == 1
+            assert f"argument {argv[-2]}: expected digits" in capsys.readouterr().err
 
     def test_bad_subcommand_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -389,8 +413,11 @@ def _quiet_main(argv):
 _INT = st.integers(-3, 8).map(str)
 _BASE = st.integers(3, 8).map(str) | _INT  # a valid s reaches the library more often
 _DIGITS = st.sampled_from(
-    ["", ",", "x", "1.5", "-1", "1,,2", "\u0661\u0662", "\u00b2"]
+    ["", ",", "x", "1.5", "-1", "1,,2", "\u0661\u0662", "\u00b2", "1_0,+2", " 1, 2", "+1"]
 ) | st.text("0123456789,", max_size=6)
+# deep depths cost box counting nothing: the width check builds no
+# power past s**J
+_DEPTH = _INT | st.integers(9, 10**9).map(str)
 _EXPONENT = st.integers(-3, 8) | st.integers(9, 10**9)
 _SCALES = (
     st.builds("{}..{}".format, st.integers(-3, 8), st.integers(-3, 8))
@@ -410,7 +437,7 @@ _FLAGS = {
     "gaps": {"--s": _BASE, "--base": _DIGITS, "--p": _INT},
     "generate": {"--s": _BASE, "--u": _INT, "--blocks": _DIGITS, "--tail": _DIGITS, "--n": _INT},
     "boxcount": {
-        "--s": _BASE, "--u": _INT, "--alphabet": _ALPHABET, "--depth": _INT, "--scales": _SCALES
+        "--s": _BASE, "--u": _INT, "--alphabet": _ALPHABET, "--depth": _DEPTH, "--scales": _SCALES
     },
     "measure": {"--s": _BASE, "--u": _INT, "--k": _INT},
     "freq": {"--s": _BASE, "--u": _INT, "--preperiod": _DIGITS, "--period": _DIGITS, "--k": _INT},
@@ -462,7 +489,10 @@ class TestFuzz:
     @example(["boxcount", "--s=3", "--u=0", "--scales=4,5,1000000"])
     @example(["boxcount", "--s=3", "--u=0", "--scales=4,5,1000000000"])
     @example(["boxcount", "--s=3", "--u=0", "--scales=4,5,2000"])
-    @settings(deadline=None, max_examples=400)
+    @example(["boxcount", "--s=3", "--u=0", "--depth=1000000000", "--scales=4,5,600"])
+    # every example ends in well under a second: a power of the depth
+    # or a frontier walk would not
+    @settings(deadline=5000, max_examples=400)
     def test_argv(self, output_dir, argv):
         argv = [arg.replace(_OUTPUT_DIR, str(output_dir)) for arg in argv]
         assert _quiet_main(argv) in (0, 1, 2), argv

@@ -1,5 +1,5 @@
 """Moran similarity-dimension solver and box counting, with the
-`Fraction`-hull box counter as its oracle."""
+prefix-frontier and `Fraction`-hull box counters as its oracles."""
 
 import math
 import time
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sadicsets import (
@@ -17,6 +17,7 @@ from sadicsets import (
     InvalidBaseError,
     MoranEquation,
     ResourceBudgetError,
+    SadicError,
     ScaleMismatchError,
     block_alphabet,
     box_count_for_alphabet,
@@ -30,7 +31,8 @@ from sadicsets import (
     tilde_alphabet,
 )
 from sadicsets import dimension
-from sadicsets.dimension import _solve_cost
+from sadicsets.combos import _extrema_q, _frontier, _frontier_size
+from sadicsets.dimension import _check_exponent, _check_finest, _fit, _solve_cost
 
 PHI = (math.sqrt(5.0) + 1.0) / 2.0
 
@@ -69,6 +71,60 @@ def _box_count_estimate(hulls, scales):
     xs = [-math.log(float(eps)) for eps, _ in fit]
     ys = [math.log(n) for _, n in fit]
     return BoxCountResult(float(np.polyfit(xs, ys, 1)[0]), tuple(counts), len(fit))
+
+
+def _frontier_box_count(a, depth, scale_exponents):
+    """Oracle of `box_count_for_alphabet`: the boxes the depth-`depth`
+    frontier hulls meet, taken from the integer prefix frontier by
+    digit truncation, within the frontier budget.
+
+    The frontier hull of y / s**n has the endpoints (y*q + p) /
+    (q * s**n), p in {p_lo, p_hi}, and meets box
+    floor((y*q + p) / (q * s**(n-J))) at the finest exponent J.  For
+    n >= J that box is (y + (p == q)) // s**(n-J), as 0 <= p <= q; a
+    prefix with n < J keeps the exact (y*q + p) * s**(J-n) // q.  Box i
+    at exponent J lies in box i // s**(J-j) at exponent j.
+    """
+    for j in scale_exponents:
+        _check_exponent(j)
+    frontier = _frontier(a, depth, "depth")
+    exps = sorted(scale_exponents)
+    if len(exps) < 3:
+        raise ScaleMismatchError(f"need at least 3 scales, got {len(exps)}")
+    if len(set(exps)) != len(exps):
+        raise ScaleMismatchError("scales must be distinct")
+    s, fine = a.s, exps[-1]
+    _check_finest(s, fine)
+    q, p_lo, p_hi = _extrema_q(a)
+    levels = [(n, nums) for n, nums, _ in frontier if nums]
+    n_min = levels[0][0]
+    if (p_hi - p_lo) * s**fine > q * s**n_min:
+        resolved = n_min
+        while (p_hi - p_lo) * s ** (resolved + 1) <= q * s**n_min:
+            resolved += 1
+        raise ScaleMismatchError(
+            f"hull width {Fraction(p_hi - p_lo, q * s**n_min)} exceeds finest "
+            f"scale {Fraction(1, s**fine)}; enumerate deeper or coarsen the "
+            f"scales; the finest exponent depth {depth} resolves is {resolved}"
+        )
+    boxes = set()
+    for n, nums in levels:
+        if n >= fine:
+            d = s ** (n - fine)
+            if p_lo < q:  # unless the set is {1}
+                boxes.update([y // d for y in nums])
+            if p_hi == q:  # the endpoint 1 carries into the next box
+                boxes.update([(y + 1) // d for y in nums])
+        else:
+            m = s ** (fine - n)
+            for p in (p_lo, p_hi):
+                boxes.update([(y * q + p) * m // q for y in nums])
+    counts = [len(boxes)]
+    for j, coarser in zip(reversed(exps), reversed(exps[:-1])):
+        m = s ** (j - coarser)
+        boxes = {i // m for i in boxes}
+        counts.append(len(boxes))
+    return _fit([(Fraction(1, s**j), n) for j, n in zip(exps, reversed(counts))])
 
 
 def _P(eq, t):
@@ -463,6 +519,69 @@ class TestBoxCounting:
         # jobs of perfbench's enumerate workload
         r = box_count_for_alphabet(a, depth, list(range(4, depth - a.max_len + 1)))
         assert [n for _, n in r.counts] == counts
+
+    @given(
+        st.integers(2, 6),
+        st.data(),
+        st.integers(0, 8),
+        st.lists(st.integers(0, 12), max_size=5),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_transfer_counts_match_the_frontier(self, s, data, extra, exponents):
+        word = st.lists(st.integers(0, s - 1), min_size=1, max_size=4).map(tuple)
+        words = data.draw(st.sets(word, min_size=1, max_size=5))
+        a = ComboAlphabet(s, tuple(sorted(words)))
+        depth = a.max_len + extra
+        assume(_frontier_size(a, depth) <= 20_000)
+
+        def outcome(count):
+            try:
+                return count()
+            except SadicError as e:
+                return type(e), str(e)
+
+        assert outcome(lambda: box_count_for_alphabet(a, depth, exponents)) == outcome(
+            lambda: _frontier_box_count(a, depth, exponents)
+        )
+
+    @pytest.mark.parametrize(
+        "words,counts",
+        [
+            # sup = 1, reached by 2 repeated: carries into the next box
+            (("0", "2", "12"), [50, 120, 289, 697, 1682]),
+            # the one point {1}, in box 3**j
+            (("2",), [1] * 5),
+            # not uniquely decodable: the streams over {0, 1}
+            (("0", "1", "01"), [16, 32, 64, 128, 256]),
+        ],
+    )
+    def test_base_three_examples_match_the_frontier(self, words, counts):
+        a = ComboAlphabet(3, words)
+        r = box_count_for_alphabet(a, 10, range(4, 9))
+        assert [n for _, n in r.counts] == counts
+        assert r == _frontier_box_count(a, 10, range(4, 9))
+
+    def test_deep_scales_recover_the_root(self):
+        # the depth-501 frontier, over 2**249 prefixes, is refused; the
+        # transfer counts the boxes to 3**-500 exactly
+        a = induced_alphabet(3, 0)
+        with pytest.raises(ResourceBudgetError):
+            _frontier_box_count(a, 501, [300, 400, 500])
+        r = box_count_for_alphabet(a, 501, [300, 400, 500])
+        assert abs(r.slope - dim_S(3, 0).alpha) < 1e-9
+
+    def test_transfer_refused_over_budget(self):
+        # tilde:64's word automaton reads about 34,000 trie edges a
+        # level: 30 levels fit in the budget, 31 do not, and the refusal
+        # comes as soon as the edges found so far exceed it
+        a = tilde_alphabet(64)
+        box_count_for_alphabet(a, 10**9, [4, 5, 29])
+        with pytest.raises(ResourceBudgetError) as err:
+            box_count_for_alphabet(a, 10**9, [4, 5, 30])
+        assert str(err.value) == (
+            "box counting over 31 digit levels would read at least 33827 "
+            "trie edges per level, 1048637 in all, budget is 1048576"
+        )
 
     def test_counts_are_coarse_to_fine(self):
         r = box_count_for_alphabet(induced_alphabet(3, 0), 12, range(4, 11))

@@ -50,6 +50,7 @@ from sadicsets import (
     tilde_alphabet,
     uniform_stream_zero_frequency,
 )
+from sadicsets.sadic import _fraction
 
 
 @st.composite
@@ -221,6 +222,18 @@ class TestRationalConversion:
             for den in (10 ** (digits - 1), 10**digits - 1):
                 with pytest.raises(ResourceBudgetError, match=f" {digits}-digit integer"):
                     rational_json(Fraction(1, den))
+
+    @given(st.integers(0, 10**40), st.integers(1, 10**40))
+    def test_trusted_fraction_is_a_fraction(self, num, den):
+        x, want = _fraction(num, den), Fraction(num, den)
+        assert type(x) is Fraction
+        assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+        assert x == want
+        assert hash(x) == hash(want)
+        assert repr(x) == repr(want)
+
+    def test_fraction_keeps_the_slots_the_trusted_constructor_sets(self):
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
 
 
 class TestBlockCodec:

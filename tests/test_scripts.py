@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import time
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -34,3 +35,16 @@ def test_boxcount_sweep(tmp_path):
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["set", "depth", "slope", "root", "gap"]
     assert [row[:2] for row in rows[1:]] == [["marker0-base3", "10"]]
+
+
+def test_boxcount_sweep_past_the_frontier_budget(tmp_path):
+    # every frontier at depth 60 is far over the frontier budget; box
+    # counting reads none, and the slopes land on the roots
+    script = _load("boxcount_sweep")
+    out = tmp_path / "sweep.csv"
+    t0 = time.perf_counter()
+    assert script.main(["--depths", "60", "--scales", "4..50", "--output", str(out)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert [row[0] for row in rows] == list(script.SETS)
+    assert all(float(row[4]) < 0.01 for row in rows)
