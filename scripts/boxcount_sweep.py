@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Sweep box-counting slopes against the equation roots as depth grows.
+"""Sweep box-counting slopes against the equation roots as the scales get finer.
 
-Writes one CSV row per (set, depth): the fitted slope, the exact root,
-and the gap between them.  The gap shrinking with depth is the visual
-check that the two dimension routes agree.
+Writes one CSV row per (set, finest exponent J): the slope fitted over
+the scales s**-lo .. s**-J, the exact root, and the gap between them.
+The gap shrinking as J grows is the visual check that the two dimension
+routes agree.  The counts are the boxes the set meets, so no depth is
+swept.
 
-    python3 scripts/boxcount_sweep.py --depths 8,10,12 --scales 4..9
+    python3 scripts/boxcount_sweep.py --fines 10,20,50 --lo 4
 """
 
 import argparse
@@ -30,8 +32,8 @@ SETS = {
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--depths", default="10,12,14")
-    ap.add_argument("--scales", default="4..9", help="'lo..hi' exponent span")
+    ap.add_argument("--fines", default="10,20,50", help="finest exponents, comma list")
+    ap.add_argument("--lo", type=int, default=4, help="coarsest exponent")
     ap.add_argument("--sets", default=",".join(SETS), help="comma list")
     ap.add_argument("--output", default=None, help="CSV path, default stdout")
     return ap.parse_args(argv)
@@ -39,26 +41,19 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    lo, hi = (int(p) for p in args.scales.split(".."))
-    depths = [int(p) for p in args.depths.split(",")]
+    fines = [int(p) for p in args.fines.split(",")]
+    if min(fines) < args.lo + 2:
+        sys.exit(f"every fine must be at least lo + 2 = {args.lo + 2}, for 3 scales")
     fh = open(args.output, "w", newline="") if args.output else sys.stdout
     w = csv.writer(fh)
-    w.writerow(["set", "depth", "slope", "root", "gap"])
+    w.writerow(["set", "fine", "slope", "root", "gap"])
     for name in args.sets.split(","):
         a = SETS[name]
         root = dim_alphabet(a).alpha
-        for depth in depths:
-            # boxes must stay wider than the depth's frontier hulls
-            usable = [e for e in range(lo, hi + 1) if e <= depth - a.max_len]
-            if len(usable) < 3:
-                print(
-                    f"skip {name} depth {depth}: needs 3 usable scales",
-                    file=sys.stderr,
-                )
-                continue
-            r = box_count_for_alphabet(a, depth, usable)
+        for fine in fines:
+            r = box_count_for_alphabet(a, a.max_len, list(range(args.lo, fine + 1)))
             w.writerow(
-                [name, depth, f"{r.slope:.6f}", f"{root:.6f}",
+                [name, fine, f"{r.slope:.6f}", f"{root:.6f}",
                  f"{abs(r.slope - root):.2e}"]
             )
     if args.output:

@@ -97,13 +97,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _ascii_int(text: str) -> int:
-    # int() also reads non-ASCII digits, "١٢" as 12
-    if not text.isascii():
-        raise ValueError(f"non-ASCII digits in {text!r}")
-    return int(text)
-
-
 def _parse_digits(text: str) -> tuple[int, ...]:
     # "021" for single-character digits, "0,2,1" for any base; each part
     # ASCII digits alone, as int() also reads "1_0", "+2" and " 2"
@@ -118,19 +111,21 @@ def _parse_digits(text: str) -> tuple[int, ...]:
 
 def _parse_scales(text: str) -> tuple[int, ...] | range:
     # "4..10" for a span, kept a range until `_boxcount` checks its
-    # ends; "4,6,8" for a list
+    # ends; "4,6,8" for a list.  Each part ASCII digits after at most
+    # one "-", which `_check_exponent` refuses by name; int() also reads
+    # "1_0", "+4", " 4" and non-ASCII digits.
     stripped = text.strip()
-    try:
-        if not stripped:
-            return ()
-        if ".." in stripped:
-            lo, hi = stripped.split("..", 1)
-            return range(_ascii_int(lo), _ascii_int(hi) + 1)
-        return tuple(_ascii_int(part) for part in stripped.split(","))
-    except ValueError:
+    if not stripped:
+        return ()
+    span = ".." in stripped
+    parts = stripped.split("..", 1) if span else stripped.split(",")
+    digits = [part.removeprefix("-") for part in parts]
+    if not all(d.isascii() and d.isdigit() for d in digits):
         raise argparse.ArgumentTypeError(
             f"expected scales like 4..10 or 4,6,8, got {text!r}"
-        ) from None
+        )
+    values = [int(part) for part in parts]
+    return range(values[0], values[1] + 1) if span else tuple(values)
 
 
 def _load_alphabet(source: str) -> ComboAlphabet:

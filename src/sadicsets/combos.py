@@ -30,8 +30,8 @@ n in (D - L, D] are the frontier, handed out as one group of numerators
 per n.  Word paths ride along only for a caller that returns or reports
 words (`enumerate_prefixes`, and the audit once it has found a prefix
 outside the claim); the audit's integer test sees numerators alone.
-Box counting reads no frontier: it counts by transfer over the word
-automaton (see `dimension`), and takes only the extrema from here.
+Box counting reads neither the frontier nor the extrema: it counts by
+transfer over the word automaton (see `dimension`).
 
 Frontier enumeration is refused with `ResourceBudgetError` when the
 exact frontier size, counted from the length histogram alone
@@ -48,10 +48,10 @@ prefix hull up to the longest word plus three digits (`audit_extrema`
 takes any depth) and raises `ExtremaFalsificationError` with a witness
 if any hull pokes outside.  The audit runs there alone, as an oracle
 for tests and the extrema cross-check row of `acceptance` (s <= 8):
-the hull layers read their extrema unaudited, `combo_cylinder`,
-`enumerate_prefixes` and box counting from `_extrema_q`, and the
-marker-set `cylinder`, `cylinder_order`, `point_locate` and
-`cover_stage` from the closed forms of `set_extrema`.
+the hull layers read their extrema unaudited, `combo_cylinder` and
+`enumerate_prefixes` from `_extrema_q`, and the marker-set `cylinder`,
+`cylinder_order`, `point_locate` and `cover_stage` from the closed
+forms of `set_extrema`.
 """
 
 from __future__ import annotations

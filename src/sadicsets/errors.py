@@ -55,4 +55,4 @@ class ResourceBudgetError(SadicError):
 
 
 class ScaleMismatchError(SadicError):
-    """Box-counting scales are finer than the hull cover can support."""
+    """Box-counting scales are malformed, or too fine for a double."""

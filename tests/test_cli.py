@@ -169,7 +169,7 @@ class TestSubcommands:
     @pytest.mark.parametrize(
         "argv,shallow",
         [
-            # 17 is the shallowest depth whose hulls resolve 9**-10
+            # 17 = J + L - 1, where every hull of tilde:9 fits 9**-10
             (["--alphabet", "tilde:9", "--depth", "40"], "17"),
             (["--s", "3", "--u", "0", "--depth", "100000"], "12"),
             (["--s", "3", "--u", "0", "--depth", "1000000"], "12"),
@@ -178,9 +178,8 @@ class TestSubcommands:
         ],
     )
     def test_deep_boxcount_exits_zero(self, argv, shallow, tmp_path, capsys):
-        # box counting walks no prefix frontier: the depth feeds only
-        # the width check, and every depth that passes it meets the
-        # same boxes
+        # box counting walks no prefix frontier, and the depth changes
+        # no count
         point = tmp_path / "point.json"
         point.write_text(json.dumps({"s": 3, "combos": ["2"]}))
         argv = ["boxcount", *(str(point) if arg == "<point>" else arg for arg in argv)]
@@ -282,16 +281,18 @@ class TestSubcommands:
         assert "rounds to 0.0 as a double" in err
         assert "Traceback" not in err
 
-    def test_boxcount_default_scales_name_the_resolved_exponent(self, capsys):
-        # the default scales 4..10 are finer than depth 12 resolves for
-        # these sets; the error names the exponent to stop at
+    def test_boxcount_default_scales_count_the_set(self, capsys):
+        # depth-12 hulls of these sets are wider than the default finest
+        # scale 5**-10, but the counts are the boxes the set meets: the
+        # counts of depth 13 = J + L - 1, where every hull fits a box
         for argv in (["--s", "5", "--u", "0"], ["--alphabet", "tilde:5"]):
-            assert main(["boxcount", *argv]) == 1
-            err = capsys.readouterr().err
-            assert "exceeds finest scale 1/9765625" in err
-            assert "the finest exponent depth 12 resolves is 9" in err
-            assert main(["boxcount", *argv, "--scales", "4..9"]) == 0
-            capsys.readouterr()
+            assert main(["boxcount", *argv]) == 0
+            shallow = json.loads(capsys.readouterr().out)
+            assert main(["boxcount", *argv, "--depth", "13"]) == 0
+            deep = json.loads(capsys.readouterr().out)
+            assert shallow["params"]["depth"] == 12
+            shallow["params"]["depth"] = 13
+            assert shallow == deep
 
     def test_dim_solve_budget_exit(self, tmp_path, capsys):
         f = tmp_path / "long.json"
@@ -372,6 +373,13 @@ class TestHarness:
         ):
             assert main(argv) == 1
             assert f"argument {argv[-2]}: expected digits" in capsys.readouterr().err
+        # and in each end or item of --scales, which keeps one "-" for
+        # the exponent check to name
+        for scales in ("+4..1_0", "4_0..45", "4 ..10", "4, 5, 6", "--3..5"):
+            assert main(["boxcount", "--s", "3", "--u", "0", "--depth", "60", f"--scales={scales}"]) == 1
+            assert "argument --scales: expected scales" in capsys.readouterr().err
+        assert main(["boxcount", "--s", "3", "--u", "0", "--scales=-3..5"]) == 1
+        assert "scale exponent -3 must be an int >= 0" in capsys.readouterr().err
 
     def test_bad_subcommand_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -415,8 +423,8 @@ _BASE = st.integers(3, 8).map(str) | _INT  # a valid s reaches the library more 
 _DIGITS = st.sampled_from(
     ["", ",", "x", "1.5", "-1", "1,,2", "\u0661\u0662", "\u00b2", "1_0,+2", " 1, 2", "+1"]
 ) | st.text("0123456789,", max_size=6)
-# deep depths cost box counting nothing: the width check builds no
-# power past s**J
+# deep depths cost box counting nothing: the depth changes no count
+# and builds no power
 _DEPTH = _INT | st.integers(9, 10**9).map(str)
 _EXPONENT = st.integers(-3, 8) | st.integers(9, 10**9)
 _SCALES = (
@@ -425,7 +433,7 @@ _SCALES = (
     | st.builds(lambda lo, n: f"{lo}..{lo + n}", st.integers(9, 10**9), st.integers(-3, 8))
     | st.builds("{}..{}".format, st.integers(-10**9, 8), st.integers(9, 10**9))
     | st.lists(_EXPONENT, max_size=5).map(lambda js: ",".join(map(str, js)))
-    | st.sampled_from(["x", "4..x", "1.5", ".."])
+    | st.sampled_from(["x", "4..x", "1.5", "..", "+4..1_0", "4_0..45", "4 ..10", "4, 5, 6"])
 )
 _ALPHABET = (
     st.sampled_from(["sprime3", "tilde:x", "tilde:", "/nonexistent.json"])
@@ -490,6 +498,10 @@ class TestFuzz:
     @example(["boxcount", "--s=3", "--u=0", "--scales=4,5,1000000000"])
     @example(["boxcount", "--s=3", "--u=0", "--scales=4,5,2000"])
     @example(["boxcount", "--s=3", "--u=0", "--depth=1000000000", "--scales=4,5,600"])
+    # hulls wider than the finest scale, refused once; now counted
+    @example(["boxcount", "--s=5", "--u=0"])
+    @example(["boxcount", "--alphabet=tilde:8", "--depth=7", "--scales=0..300"])
+    @example(["boxcount", "--s=8", "--u=3", "--depth=7", "--scales=4..357"])
     # every example ends in well under a second: a power of the depth
     # or a frontier walk would not
     @settings(deadline=5000, max_examples=400)

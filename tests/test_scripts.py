@@ -5,6 +5,8 @@ import importlib.util
 import time
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -29,21 +31,23 @@ def test_measure_decay(capsys):
 def test_boxcount_sweep(tmp_path):
     script = _load("boxcount_sweep")
     out = tmp_path / "sweep.csv"
-    argv = ["--depths", "10", "--scales", "4..7", "--sets", "marker0-base3",
-            "--output", str(out)]
+    argv = ["--fines", "10", "--lo", "4", "--sets", "marker0-base3", "--output", str(out)]
     assert script.main(argv) == 0
     rows = list(csv.reader(out.read_text().splitlines()))
-    assert rows[0] == ["set", "depth", "slope", "root", "gap"]
+    assert rows[0] == ["set", "fine", "slope", "root", "gap"]
     assert [row[:2] for row in rows[1:]] == [["marker0-base3", "10"]]
+    # a fit needs 3 scales, lo..fine
+    with pytest.raises(SystemExit, match="at least lo \\+ 2 = 6"):
+        script.main(["--fines", "10,5", "--output", str(out)])
 
 
 def test_boxcount_sweep_past_the_frontier_budget(tmp_path):
-    # every frontier at depth 60 is far over the frontier budget; box
-    # counting reads none, and the slopes land on the roots
+    # a frontier fine enough for 50 digits is far over the frontier
+    # budget; box counting reads none, and the slopes land on the roots
     script = _load("boxcount_sweep")
     out = tmp_path / "sweep.csv"
     t0 = time.perf_counter()
-    assert script.main(["--depths", "60", "--scales", "4..50", "--output", str(out)]) == 0
+    assert script.main(["--fines", "50", "--output", str(out)]) == 0
     assert time.perf_counter() - t0 < 1.0
     rows = list(csv.reader(out.read_text().splitlines()))[1:]
     assert [row[0] for row in rows] == list(script.SETS)
