@@ -210,8 +210,8 @@ def check_ordering_and_gaps() -> CriterionResult:
                         orders += 1
                     except Exception as e:  # noqa: BLE001 - report, not crash
                         failures.append(f"order s={s} u={u} base={base} p={p}: {e}")
+        # sorted by lower endpoint, as `enumerate_prefixes` returns them
         hulls = [h for h, _ in enumerate_prefixes(induced_alphabet(s, 0), 12)]
-        hulls.sort()
         hull_infs = [h[0] for h in hulls]
         # Hull endpoints are attained by eventually periodic continuations,
         # so they are genuine member values reached at depth 12.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,6 +79,14 @@ class RunConfig:
     def __post_init__(self):
         if self.subcommand not in _COMMANDS:
             raise SadicError(f"unknown subcommand {self.subcommand!r}")
+        required = _COMMANDS[self.subcommand].required
+        if any(getattr(self, flag) is None for flag in required):
+            *rest, last = (f"--{flag}" for flag in required)
+            listed = f"{', '.join(rest)} and {last}" if rest else last
+            raise SadicError(f"{self.subcommand} needs {listed}")
+        # Checked for every subcommand, though only boxcount reads the
+        # depth, and raised as SadicError itself: perfbench's invalid
+        # `cylinder` query with depth=0 hashes this class name.
         if self.depth < 1:
             raise SadicError("depth must be >= 1")
         if self.fmt not in _FORMATS:
@@ -97,6 +106,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _parse_int(text: str) -> int:
+    # ASCII digits after at most one "-"; int() also reads "+3", "1_2",
+    # " 3" and non-ASCII digits
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError as e:  # past the interpreter's int-to-str limit
+            raise argparse.ArgumentTypeError(f"{len(digits)}-digit integer is too long") from e
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
 def _parse_digits(text: str) -> tuple[int, ...]:
     # "021" for single-character digits, "0,2,1" for any base; each part
     # ASCII digits alone, as int() also reads "1_0", "+2" and " 2"
@@ -111,20 +132,19 @@ def _parse_digits(text: str) -> tuple[int, ...]:
 
 def _parse_scales(text: str) -> tuple[int, ...] | range:
     # "4..10" for a span, kept a range until `_boxcount` checks its
-    # ends; "4,6,8" for a list.  Each part ASCII digits after at most
-    # one "-", which `_check_exponent` refuses by name; int() also reads
-    # "1_0", "+4", " 4" and non-ASCII digits.
+    # ends; "4,6,8" for a list.  A "-" is kept for `_check_exponent`
+    # to refuse by name.
     stripped = text.strip()
     if not stripped:
         return ()
     span = ".." in stripped
     parts = stripped.split("..", 1) if span else stripped.split(",")
-    digits = [part.removeprefix("-") for part in parts]
-    if not all(d.isascii() and d.isdigit() for d in digits):
+    try:
+        values = [_parse_int(part) for part in parts]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expected scales like 4..10 or 4,6,8, got {text!r}"
-        )
-    values = [int(part) for part in parts]
+        ) from None
     return range(values[0], values[1] + 1) if span else tuple(values)
 
 
@@ -134,8 +154,8 @@ def _load_alphabet(source: str) -> ComboAlphabet:
         return sprime3_alphabet()
     if source.startswith("tilde:"):
         try:
-            s = int(source.split(":", 1)[1])
-        except ValueError as e:
+            s = _parse_int(source.removeprefix("tilde:"))
+        except argparse.ArgumentTypeError as e:
             raise SadicError(f"bad alphabet spec {source!r}: expected tilde:<s>") from e
         return tilde_alphabet(s)
     try:
@@ -150,72 +170,37 @@ def _load_alphabet(source: str) -> ComboAlphabet:
         raise SadicError(f"bad alphabet structure in {source!r}: {e}") from e
 
 
+# Each flag's type and help; `_COMMANDS` lists the flags of each subcommand.
+_FLAGS = {
+    "s": (_parse_int, None),
+    "u": (_parse_int, None),
+    "alphabet": (str, "JSON file, 'sprime3', or 'tilde:<s>'"),
+    "base": (_parse_digits, "comma-separated blocks, e.g. 1,2"),
+    "blocks": (_parse_digits, None),
+    "tail": (_parse_digits, None),
+    "p": (_parse_int, None),
+    "n": (_parse_int, "digits to emit"),
+    "depth": (_parse_int, None),
+    "scales": (_parse_scales, "'4..10' or '4,6,8'"),
+    "k": (_parse_int, "largest stage rank (measure), digits counted (freq)"),
+    "preperiod": (_parse_digits, None),
+    "period": (_parse_digits, None),
+    "only": (str, "substring filter on row names"),
+    "seed": (_parse_int, None),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sadicsets", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    def common(p, fmt_default="json"):
-        p.add_argument("--format", dest="fmt", default=fmt_default, choices=_FORMATS)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            kind, text = _FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, help=text, required=flag in command.required)
+        p.add_argument("--format", dest="fmt", default=command.fmt, choices=_FORMATS)
         p.add_argument("--output", help="write here instead of stdout")
-
-    p = sub.add_parser("dim", help="dimension-equation root")
-    p.add_argument("--s", type=int)
-    p.add_argument("--u", type=int)
-    p.add_argument("--alphabet", help="JSON file, 'sprime3', or 'tilde:<s>'")
-    common(p)
-
-    p = sub.add_parser("cylinder", help="exact hull of a block prefix")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--base", type=_parse_digits, help="comma-separated blocks, e.g. 1,2")
-    common(p)
-
-    p = sub.add_parser("gaps", help="open gap between adjacent marker-0 children")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--base", type=_parse_digits)
-    p.add_argument("--p", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("generate", help="emit element digits from a block spec")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--blocks", type=_parse_digits)
-    p.add_argument("--tail", type=_parse_digits)
-    p.add_argument("--n", type=int, help="digits to emit")
-    common(p)
-
-    p = sub.add_parser("boxcount", help="box-counting slope of a set")
-    p.add_argument("--s", type=int)
-    p.add_argument("--u", type=int)
-    p.add_argument("--alphabet")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--scales", type=_parse_scales, help="'4..10' or '4,6,8'")
-    common(p)
-
-    p = sub.add_parser("measure", help="stage lengths of the covering recursion")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, help="largest stage rank")
-    common(p, fmt_default="csv")
-
-    p = sub.add_parser("freq", help="digit frequencies of a digit stream")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--u", type=int)
-    p.add_argument("--preperiod", type=_parse_digits)
-    p.add_argument("--period", type=_parse_digits)
-    p.add_argument("--k", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("normal", help="digit-balance verdict for a base")
-    p.add_argument("--s", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("reproduce", help="run the acceptance criteria")
-    p.add_argument("--only", help="substring filter on row names")
-    p.add_argument("--seed", type=int)
-    common(p, fmt_default="table")
-
     return parser
 
 
@@ -224,9 +209,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**vars(args))
 
 
-# Each handler returns the command's params and body, plus its CSV or
-# table text when the format asks for one instead of JSON.
-_Result = tuple[dict, dict, str | None]
+# Each handler returns the command's body, plus its CSV or table text
+# when the format asks for one instead of JSON.
+_Result = tuple[dict, str | None]
 
 
 def _need_su(config: RunConfig) -> tuple[int, int]:
@@ -246,74 +231,57 @@ def _dim(config: RunConfig) -> _Result:
             "prefix_free": a.is_prefix_free(),
             **r.to_json(),
         }
-        return {"alphabet": config.alphabet}, body, None
-    s, u = _need_su(config)
-    return {"s": s, "u": u}, dim_S(s, u).to_json(), None
+        return body, None
+    return dim_S(*_need_su(config)).to_json(), None
 
 
 def _cylinder(config: RunConfig) -> _Result:
-    s, u = _need_su(config)
-    params = {"s": s, "u": u, "base": list(config.base)}
-    return params, cylinder(s, u, config.base).to_json(), None
+    return cylinder(config.s, config.u, config.base).to_json(), None
 
 
 def _gaps(config: RunConfig) -> _Result:
-    if config.s is None or config.p is None:
-        raise SadicError("gaps needs --s and --p")
-    gap = gap_interval(config.s, config.base, config.p)
-    return {"s": config.s, "base": list(config.base), "p": config.p}, gap.to_json(), None
+    return gap_interval(config.s, config.base, config.p).to_json(), None
 
 
 def _generate(config: RunConfig) -> _Result:
-    s, u = _need_su(config)
-    d = block_encode(BlockSequence(s, u, config.blocks, config.tail))
+    d = block_encode(BlockSequence(config.s, config.u, config.blocks, config.tail))
     n = config.n if d.period is not None else min(config.n, len(d.preperiod))
-    params = {"s": s, "u": u, "blocks": list(config.blocks),
-              "tail": list(config.tail) if config.tail is not None else None,
-              "n": config.n}
     body = {
         "digits": list(d.digits(n)),
         "digit_string": d.to_json(),
         "value": rational_json(digits_to_rational(d)),
         "is_member_value": d.period is not None,
     }
-    return params, body, None
+    return body, None
 
 
 def _boxcount(config: RunConfig) -> _Result:
     if config.alphabet is not None:
         a = _load_alphabet(config.alphabet)
-        params = {"alphabet": config.alphabet}
     else:
-        s, u = _need_su(config)
-        a = induced_alphabet(s, u)
-        params = {"s": s, "u": u}
+        a = induced_alphabet(*_need_su(config))
     scales = config.scales
     if isinstance(scales, range) and scales:
         # a span is checked at its ends before it is listed
         _check_exponent(scales[0])
         _check_finest(a.s, scales[-1])
-    params.update({"depth": config.depth, "scales": list(scales)})
     r = box_count_for_alphabet(a, config.depth, list(scales))
     body = {"alpha_equation": dim_alphabet(a).alpha, **r.to_json()}
     if config.fmt != "csv":
-        return params, body, None
+        return body, None
     csv = ["eps_num,eps_den,eps_approx,boxes"]
     for eps, nbox in r.counts:
         csv.append(f"{eps.numerator},{eps.denominator},{float(eps)!r},{nbox}")
     csv.append(f"# slope,{r.slope!r}")
-    return params, body, "\n".join(csv)
+    return body, "\n".join(csv)
 
 
 def _measure(config: RunConfig) -> _Result:
-    s, u = _need_su(config)
-    if config.k is None or config.k < 1:
-        raise SadicError("measure needs --k >= 1")
+    s, u = config.s, config.u
     # The stage budget grows with k, so stage k goes first: a refusal
     # comes before any stage is built, and names stage k.
     last = cover_stage(s, u, config.k)
     stages = [cover_stage(s, u, k) for k in range(1, config.k)] + [last]
-    params = {"s": s, "u": u, "k": config.k}
     body = {
         "stages": [
             {
@@ -325,31 +293,24 @@ def _measure(config: RunConfig) -> _Result:
         ]
     }
     if config.fmt != "csv":
-        return params, body, None
+        return body, None
     csv = ["k,num,den,approx"]
     for st in stages:
         t = st.total_length
         csv.append(f"{st.k},{t.numerator},{t.denominator},{float(t)!r}")
-    return params, body, "\n".join(csv)
+    return body, "\n".join(csv)
 
 
 def _freq(config: RunConfig) -> _Result:
-    if config.s is None or config.k is None:
-        raise SadicError("freq needs --s and --k")
     d = DigitString(config.s, config.preperiod, config.period)
     body = {"profile": digit_frequencies(d, config.k).to_json()}
     if config.u is not None:
         body["residual"] = structural_identity_residual(d, config.u, config.k).to_json()
-    params = {"s": config.s, "u": config.u, "k": config.k,
-              "preperiod": list(config.preperiod),
-              "period": list(config.period) if config.period else None}
-    return params, body, None
+    return body, None
 
 
 def _normal(config: RunConfig) -> _Result:
-    if config.s is None:
-        raise SadicError("normal needs --s")
-    return {"s": config.s}, normal_candidate_exists(config.s).to_json(), None
+    return normal_candidate_exists(config.s).to_json(), None
 
 
 def _reproduce(config: RunConfig) -> _Result:
@@ -360,29 +321,66 @@ def _reproduce(config: RunConfig) -> _Result:
         "results": [r.to_json() for r in results],
         "passed": all(r.passed for r in results),
     }
-    table = None if config.fmt == "json" else format_table(results)
-    return {"only": config.only, "seed": config.seed}, body, table
+    return body, None if config.fmt == "json" else format_table(results)
 
 
+@dataclass(frozen=True)
+class _Command:
+    handler: Callable[[RunConfig], _Result]
+    help: str
+    flags: tuple[str, ...]
+    required: tuple[str, ...] = ()
+    fmt: str = "json"
+
+
+# The one statement of each subcommand's flags: argparse, RunConfig's
+# required-flag check and the params echo all read it.
 _COMMANDS = {
-    "dim": _dim,
-    "cylinder": _cylinder,
-    "gaps": _gaps,
-    "generate": _generate,
-    "boxcount": _boxcount,
-    "measure": _measure,
-    "freq": _freq,
-    "normal": _normal,
-    "reproduce": _reproduce,
+    "dim": _Command(_dim, "dimension-equation root", ("s", "u", "alphabet")),
+    "cylinder": _Command(
+        _cylinder, "exact hull of a block prefix", ("s", "u", "base"), ("s", "u")
+    ),
+    "gaps": _Command(
+        _gaps, "open gap between adjacent marker-0 children", ("s", "base", "p"), ("s", "p")
+    ),
+    "generate": _Command(
+        _generate, "emit element digits from a block spec",
+        ("s", "u", "blocks", "tail", "n"), ("s", "u"),
+    ),
+    "boxcount": _Command(
+        _boxcount, "box-counting slope of a set", ("s", "u", "alphabet", "depth", "scales")
+    ),
+    "measure": _Command(
+        _measure, "stage lengths of the covering recursion", ("s", "u", "k"), ("s", "u", "k"),
+        fmt="csv",
+    ),
+    "freq": _Command(
+        _freq, "digit frequencies of a digit stream",
+        ("s", "u", "preperiod", "period", "k"), ("s", "k"),
+    ),
+    "normal": _Command(_normal, "digit-balance verdict for a base", ("s",), ("s",)),
+    "reproduce": _Command(
+        _reproduce, "run the acceptance criteria", ("only", "seed"), fmt="table"
+    ),
 }
 
 
 def dispatch(config: RunConfig) -> tuple[int, str]:
     """Run one validated invocation; returns (exit code, document)."""
-    params, body, text = _COMMANDS[config.subcommand](config)
+    command = _COMMANDS[config.subcommand]
+    body, text = command.handler(config)
     # A failed acceptance row exits 1.
     code = 1 if config.subcommand == "reproduce" and not body["passed"] else 0
     if text is None:
+        # the params echo the subcommand's flags, where an alphabet takes
+        # the place of --s and --u
+        given = config.alphabet is not None and "alphabet" in command.flags
+        dropped = ("s", "u") if given else ("alphabet",)
+        params = {}
+        for flag in command.flags:
+            if flag not in dropped:
+                value = getattr(config, flag)
+                params[flag] = list(value) if isinstance(value, (tuple, range)) else value
         doc = {"version": __version__, "command": config.subcommand, "params": params, **body}
         text = json.dumps(doc, sort_keys=True, indent=2)
     return code, text

@@ -43,8 +43,32 @@ class TestParsing:
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert set(sub.choices) == set(_COMMANDS)
+        for name, command in _COMMANDS.items():
+            actions = [a for a in sub.choices[name]._actions if a.dest != "help"]
+            options = {o for a in actions for o in a.option_strings}
+            assert options == {f"--{flag}" for flag in command.flags} | {"--format", "--output"}
+            required = {a.dest for a in actions if a.required}
+            assert required == set(command.required), name
         with pytest.raises(SadicError):
             RunConfig(subcommand="frobnicate")
+
+    @pytest.mark.parametrize(
+        "name,missing",
+        [(name, flag) for name, command in _COMMANDS.items() for flag in command.required],
+    )
+    def test_dispatch_refuses_missing_required_flag(self, name, missing):
+        # library callers skip argparse; RunConfig names the flags instead
+        given = {flag: 1 for flag in _COMMANDS[name].required if flag != missing}
+        with pytest.raises(SadicError, match=f"{name} needs .*--{missing}\\b"):
+            dispatch(RunConfig(subcommand=name, **given))
+
+    def test_depth_below_one_is_a_plain_sadic_error(self):
+        # perfbench's invalid cylinder query hashes the class name, so no
+        # subclass, and for every subcommand, not only boxcount
+        with pytest.raises(SadicError) as info:
+            RunConfig(subcommand="cylinder", s=3, u=0, depth=0)
+        assert type(info.value) is SadicError
+        assert str(info.value) == "depth must be >= 1"
 
     def test_config_is_frozen(self):
         config = RunConfig(subcommand="normal", s=3)
@@ -380,6 +404,32 @@ class TestHarness:
             assert "argument --scales: expected scales" in capsys.readouterr().err
         assert main(["boxcount", "--s", "3", "--u", "0", "--scales=-3..5"]) == 1
         assert "scale exponent -3 must be an int >= 0" in capsys.readouterr().err
+        # every integer flag: ASCII digits after at most one "-"
+        for template in (
+            ["measure", "--s={}", "--u=0", "--k=2"],
+            ["measure", "--s=3", "--u={}", "--k=2"],
+            ["gaps", "--s=3", "--p={}"],
+            ["generate", "--s=3", "--u=0", "--n={}"],
+            ["measure", "--s=3", "--u=0", "--k={}"],
+            ["boxcount", "--s=3", "--u=0", "--depth={}"],
+            ["reproduce", "--seed={}"],
+        ):
+            flag = next(arg for arg in template if "{}" in arg).split("=")[0]
+            for form in ("+3", "1_2", " 3", "\u0663"):
+                argv = [arg.format(form) for arg in template]
+                assert main(argv) == 1, argv
+                assert f"argument {flag}: expected an integer" in capsys.readouterr().err
+        for spec in ("tilde:+5", "tilde:1_0", "tilde:\u0665"):
+            assert main(["dim", "--alphabet", spec]) == 1
+            assert "bad alphabet spec" in capsys.readouterr().err
+        # a "-" still reaches the library's own messages
+        assert main(["dim", "--alphabet", "tilde:-3"]) == 1
+        assert "s must be an int >= 3, got -3" in capsys.readouterr().err
+        assert main(["dim", "--s=-3", "--u", "0"]) == 1
+        assert "s must be >= 3, got -3" in capsys.readouterr().err
+        # past the interpreter's int-to-str limit
+        assert main(["reproduce", "--seed", "1" * 5000]) == 1
+        assert "argument --seed: 5000-digit integer is too long" in capsys.readouterr().err
 
     def test_bad_subcommand_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -418,7 +468,8 @@ def _quiet_main(argv):
         return main(argv)
 
 
-_INT = st.integers(-3, 8).map(str)
+# int() also reads a sign, underscores, blanks and non-ASCII digits
+_INT = st.integers(-3, 8).map(str) | st.sampled_from(["+3", "1_2", " 3", "\u0663"])
 _BASE = st.integers(3, 8).map(str) | _INT  # a valid s reaches the library more often
 _DIGITS = st.sampled_from(
     ["", ",", "x", "1.5", "-1", "1,,2", "\u0661\u0662", "\u00b2", "1_0,+2", " 1, 2", "+1"]
@@ -436,20 +487,20 @@ _SCALES = (
     | st.sampled_from(["x", "4..x", "1.5", "..", "+4..1_0", "4_0..45", "4 ..10", "4, 5, 6"])
 )
 _ALPHABET = (
-    st.sampled_from(["sprime3", "tilde:x", "tilde:", "/nonexistent.json"])
+    st.sampled_from(["sprime3", "tilde:x", "tilde:", "tilde:+5", "tilde:1_0", "/nonexistent.json"])
     | _INT.map("tilde:{}".format)
 )
+# one strategy per flag of the command table, so a flag added there is
+# fuzzed as soon as it has a strategy here
+_STRATEGIES = {
+    "s": _BASE, "u": _INT, "alphabet": _ALPHABET, "base": _DIGITS, "blocks": _DIGITS,
+    "tail": _DIGITS, "p": _INT, "n": _INT, "depth": _DEPTH, "scales": _SCALES, "k": _INT,
+    "preperiod": _DIGITS, "period": _DIGITS,
+}
 _FLAGS = {
-    "dim": {"--s": _BASE, "--u": _INT, "--alphabet": _ALPHABET},
-    "cylinder": {"--s": _BASE, "--u": _INT, "--base": _DIGITS},
-    "gaps": {"--s": _BASE, "--base": _DIGITS, "--p": _INT},
-    "generate": {"--s": _BASE, "--u": _INT, "--blocks": _DIGITS, "--tail": _DIGITS, "--n": _INT},
-    "boxcount": {
-        "--s": _BASE, "--u": _INT, "--alphabet": _ALPHABET, "--depth": _DEPTH, "--scales": _SCALES
-    },
-    "measure": {"--s": _BASE, "--u": _INT, "--k": _INT},
-    "freq": {"--s": _BASE, "--u": _INT, "--preperiod": _DIGITS, "--period": _DIGITS, "--k": _INT},
-    "normal": {"--s": _BASE},
+    name: {f"--{flag}": _STRATEGIES[flag] for flag in command.flags}
+    for name, command in _COMMANDS.items()
+    if name != "reproduce"  # seconds a call: every acceptance row
 }
 
 
@@ -502,6 +553,10 @@ class TestFuzz:
     @example(["boxcount", "--s=5", "--u=0"])
     @example(["boxcount", "--alphabet=tilde:8", "--depth=7", "--scales=0..300"])
     @example(["boxcount", "--s=8", "--u=3", "--depth=7", "--scales=4..357"])
+    # forms only int() reads, which exited 0 once
+    @example(["boxcount", "--s=+3", "--u=0", "--depth=1_2"])
+    @example(["dim", "--s=\u0663", "--u=0"])
+    @example(["dim", "--alphabet=tilde:+5"])
     # every example ends in well under a second: a power of the depth
     # or a frontier walk would not
     @settings(deadline=5000, max_examples=400)
