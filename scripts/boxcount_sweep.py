@@ -10,7 +10,6 @@ swept.
     python3 scripts/boxcount_sweep.py --fines 10,20,50 --lo 4
 """
 
-import argparse
 import csv
 import sys
 
@@ -21,6 +20,7 @@ from sadicsets import (
     sprime3_alphabet,
     tilde_alphabet,
 )
+from sadicsets.cli import _Parser, _parse_int
 
 SETS = {
     "marker0-base3": induced_alphabet(3, 0),
@@ -31,9 +31,10 @@ SETS = {
 
 
 def parse_args(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # the CLI's parser: a usage error exits 1, as in `sadicsets`
+    ap = _Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--fines", default="10,20,50", help="finest exponents, comma list")
-    ap.add_argument("--lo", type=int, default=4, help="coarsest exponent")
+    ap.add_argument("--lo", type=_parse_int, default=4, help="coarsest exponent")
     ap.add_argument("--sets", default=",".join(SETS), help="comma list")
     ap.add_argument("--output", default=None, help="CSV path, default stdout")
     return ap.parse_args(argv)

@@ -9,7 +9,6 @@ the script exits nonzero if they ever differ.
     python3 scripts/measure_decay.py --pairs 3:0,4:0 --k-max 8
 """
 
-import argparse
 import sys
 
 from sadicsets import (
@@ -18,12 +17,14 @@ from sadicsets import (
     measure_decay_report,
     sigma,
 )
+from sadicsets.cli import _Parser, _parse_int
 
 
 def parse_args(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # the CLI's parser: a usage error exits 1, as in `sadicsets`
+    ap = _Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--pairs", default="3:0,4:0", help="s:u pairs, comma list")
-    ap.add_argument("--k-max", type=int, default=8)
+    ap.add_argument("--k-max", type=_parse_int, default=8)
     return ap.parse_args(argv)
 
 

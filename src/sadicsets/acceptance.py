@@ -393,6 +393,9 @@ def check_codec_bijection(seed: int = 0) -> CriterionResult:
     (s, u), and distinct periodic streams map to distinct values."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
+    # Bound once; list comprehensions make the same draws, in the same
+    # order, as generator expressions.
+    choice, randint, rand = rng.choice, rng.randint, rng.random
     failures = []
     roundtrips = 0
     pairs = 0
@@ -400,12 +403,10 @@ def check_codec_bijection(seed: int = 0) -> CriterionResult:
         for u in range(s):
             alphabet = block_alphabet(s, u)
             for _ in range(10000):
-                blocks = tuple(
-                    rng.choice(alphabet) for _ in range(rng.randint(0, 6))
-                )
+                blocks = tuple([choice(alphabet) for _ in range(randint(0, 6))])
                 tail = (
-                    tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
-                    if rng.random() < 0.5
+                    tuple([choice(alphabet) for _ in range(randint(1, 3))])
+                    if rand() < 0.5
                     else None
                 )
                 b = BlockSequence(s, u, blocks, tail)
@@ -424,13 +425,13 @@ def check_codec_bijection(seed: int = 0) -> CriterionResult:
             for _ in range(500):
                 b1 = BlockSequence(
                     s, u,
-                    tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 4))),
-                    tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3))),
+                    tuple([choice(alphabet) for _ in range(randint(0, 4))]),
+                    tuple([choice(alphabet) for _ in range(randint(1, 3))]),
                 )
                 b2 = BlockSequence(
                     s, u,
-                    tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 4))),
-                    tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3))),
+                    tuple([choice(alphabet) for _ in range(randint(0, 4))]),
+                    tuple([choice(alphabet) for _ in range(randint(1, 3))]),
                 )
                 if unroll(b1, 24) == unroll(b2, 24):
                     continue  # same stream, same value: not an injectivity case

@@ -27,6 +27,12 @@ states them in closed form, so a huge base lists nothing before its
 budget check.  `_hull_order` lists them in the order of their sibling
 cylinders (see `cylinders`).  `_check_blocks` is the one check of block
 entries, for `BlockSequence` and for cylinder bases alike.
+
+The public constructors `DigitString(...)` and `BlockSequence(...)`
+check every field exactly once and then write the instance dict once.
+The codec builds its values directly, without those checks:
+`block_encode` reads a checked `BlockSequence`, and `block_decode`
+checks every digit while it splits the marker runs.
 """
 
 from __future__ import annotations
@@ -141,7 +147,7 @@ def _primitive(word: tuple) -> tuple:
     return word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DigitString:
     """A base-s digit word, optionally followed by a repeating tail.
 
@@ -154,21 +160,23 @@ class DigitString:
     preperiod: tuple[int, ...] = ()
     period: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        if self.period is not None:
-            object.__setattr__(self, "period", tuple(self.period))
-        if type(self.base) is not int:
-            raise InvalidDigitError(f"base must be an int, got {self.base!r}")
-        if self.base < 2:
-            raise InvalidDigitError(f"base must be >= 2, got {self.base}")
-        if self.period is not None and not self.period:
+    def __init__(self, base: int, preperiod=(), period=None):
+        # Each field is checked once, then the instance dict is written
+        # once; a generated frozen __init__ would set each field through
+        # object.__setattr__.
+        preperiod = tuple(preperiod)
+        if period is not None:
+            period = tuple(period)
+        if type(base) is not int:
+            raise InvalidDigitError(f"base must be an int, got {base!r}")
+        if base < 2:
+            raise InvalidDigitError(f"base must be >= 2, got {base}")
+        if period is not None and not period:
             raise InvalidDigitError("period, when given, must be nonempty")
-        for d in self.preperiod + (self.period or ()):
-            if type(d) is not int or not 0 <= d < self.base:
-                raise InvalidDigitError(
-                    f"digit {d!r} out of range for base {self.base}"
-                )
+        for d in preperiod + (period or ()):
+            if type(d) is not int or not 0 <= d < base:
+                raise InvalidDigitError(f"digit {d!r} out of range for base {base}")
+        self.__dict__.update(base=base, preperiod=preperiod, period=period)
 
     @property
     def is_finite(self) -> bool:
@@ -256,7 +264,7 @@ class DigitString:
         return f"0.{body}{tail}_{self.base}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlockSequence:
     """Run-length description of a digit stream over marker digit u.
 
@@ -270,15 +278,16 @@ class BlockSequence:
     blocks: tuple[int, ...] = ()
     tail: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        if self.tail is not None:
-            object.__setattr__(self, "tail", tuple(self.tail))
-        _validate_marker(self.base, self.marker)
-        if self.tail is not None and not self.tail:
+    def __init__(self, base: int, marker: int, blocks=(), tail=None):
+        # As `DigitString.__init__`: one check, one write.
+        blocks = tuple(blocks)
+        if tail is not None:
+            tail = tuple(tail)
+        _validate_marker(base, marker)
+        if tail is not None and not tail:
             raise InvalidBlockError("tail, when given, must be nonempty")
-        entries = self.blocks + (self.tail or ())
-        _check_blocks(self.base, self.marker, entries, InvalidBlockError, "block")
+        _check_blocks(base, marker, blocks + (tail or ()), InvalidBlockError, "block")
+        self.__dict__.update(base=base, marker=marker, blocks=blocks, tail=tail)
 
     @property
     def digit_length(self) -> int:
@@ -347,15 +356,6 @@ def rational_to_digits(x: Rational, s: int, n: int | None = None) -> DigitString
     return DigitString(s, tuple(digits[:start]), tuple(digits[start:]))
 
 
-def _new(cls, **fields):
-    # Trusted construction of a frozen codec value, skipping
-    # `__post_init__`: only for fields the codec has just built from a
-    # validated value or checked digit by digit.
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def _fraction(num: int, den: int) -> Fraction:
     # Trusted construction of num/den in lowest terms, for ints
     # num >= 0 and den > 0: one gcd, then the two slots set directly, as
@@ -381,39 +381,47 @@ def block_encode(b: BlockSequence) -> DigitString:
     u^(c-1) c; a repeating block tail becomes a repeating digit tail."""
     pre = _block_words(b.blocks, b.marker)
     per = _block_words(b.tail, b.marker) if b.tail is not None else None
-    return _new(DigitString, base=b.base, preperiod=pre, period=per)
+    # The words of checked blocks are checked digits: the value is
+    # built without `DigitString.__init__`.
+    d = object.__new__(DigitString)
+    d.__dict__.update(base=b.base, preperiod=pre, period=per)
+    return d
 
 
-def _split_blocks(digits, s: int, u: int, pos: int = 0):
-    """Blocks closed by ``digits`` and the marker run left pending.
+def _split_blocks(digits, u: int, max_run: int, pos: int = 0):
+    """Blocks closed by ``digits`` and the marker run left pending, for
+    marker ``u`` and marker runs of at most ``max_run`` digits.
 
     The first digit of ``digits`` opens a block and sits at 1-based
-    offset ``pos + 1``.  Every digit other than
-    the marker closes a block, so a violation (marker run too long, a
-    wrong closing digit, a stray zero) raises `NotAMemberError` at the
-    offset of the digit where it shows.
+    offset ``pos + 1``.  Every digit other than the marker closes a
+    block, so a violation (marker run too long, a wrong closing digit,
+    a stray zero) raises `NotAMemberError` at the offset of the digit
+    where it shows: each block c read so far took c digits, and the
+    pending run the rest.
     """
-    max_run = _block_stats(s, u)[3] - 1
     blocks: list[int] = []
     run = 0
-    for pos, digit in enumerate(digits, pos + 1):
+    for digit in digits:
         if digit == u:
             run += 1
             if run > max_run:
                 raise NotAMemberError(
-                    pos, f"run of marker digit {u} exceeds {max_run}"
+                    pos + sum(blocks) + run,
+                    f"run of marker digit {u} exceeds {max_run}",
                 )
-            continue
-        if digit == 0:
-            raise NotAMemberError(pos, "digit 0 cannot close a block")
-        if digit != run + 1:
+        elif digit == run + 1:
+            blocks.append(digit)
+            run = 0
+        elif digit == 0:
             raise NotAMemberError(
-                pos,
+                pos + sum(blocks) + run + 1, "digit 0 cannot close a block"
+            )
+        else:
+            raise NotAMemberError(
+                pos + sum(blocks) + run + 1,
                 f"block of {run} markers must close with {run + 1},"
                 f" found {digit}",
             )
-        blocks.append(digit)
-        run = 0
     return blocks, run
 
 
@@ -429,32 +437,38 @@ def block_decode(d: DigitString, u: int) -> BlockSequence:
     result encodes the identical stream.
     """
     s = d.base
+    largest = _block_stats(s, u)[3]
+    max_run = largest - 1
     pre, per = d.preperiod, d.period
-    npre = len(pre)
     if per is None:
-        blocks, run = _split_blocks(pre, s, u)
+        blocks, run = _split_blocks(pre, u, max_run)
         if run:
-            raise NotAMemberError(npre, "stream ends inside an unfinished block")
-        return _new(
-            BlockSequence, base=s, marker=u, blocks=tuple(blocks), tail=None
-        )
-
-    # Past the period's first closer the run restarts at 0 on every
-    # pass, so the block tail is the period rotated to start there.  When
-    # the preperiod ends a block (or is empty) and the period ends with a
-    # closer, the period is already block-aligned and needs no rotation.
-    if (pre and pre[-1] == u) or per[-1] == u:
-        j = next((i + 1 for i, digit in enumerate(per) if digit != u), None)
-        if j is None:
-            # No closer ever comes: max_block markers overflow any run.
-            _split_blocks(pre + per * _block_stats(s, u)[3], s, u)
+            raise NotAMemberError(len(pre), "stream ends inside an unfinished block")
+        tail = None
     else:
+        # Past the period's first closer the run restarts at 0 on every
+        # pass, so the block tail is the period rotated to start there.
+        # When the preperiod ends a block (or is empty) and the period
+        # ends with a closer, the period is already block-aligned and
+        # needs no rotation.
         j = 0
-    blocks, _ = _split_blocks(pre + per[:j], s, u)
-    tail, _ = _split_blocks(per[j:] + per[:j], s, u, npre + j)
-    return _new(
-        BlockSequence, base=s, marker=u, blocks=tuple(blocks), tail=tuple(tail)
-    )
+        if (pre and pre[-1] == u) or per[-1] == u:
+            for digit in per:
+                j += 1
+                if digit != u:
+                    break
+            else:
+                # No closer ever comes: `largest` markers overflow any
+                # run, so this raises.
+                _split_blocks(pre + per * largest, u, max_run)
+        blocks, _ = _split_blocks(pre + per[:j], u, max_run)
+        tail, _ = _split_blocks(per[j:] + per[:j], u, max_run, len(pre) + j)
+        tail = tuple(tail)
+    # Every block passed `_split_blocks`: the value is built without
+    # `BlockSequence.__init__`.
+    b = object.__new__(BlockSequence)
+    b.__dict__.update(base=s, marker=u, blocks=tuple(blocks), tail=tail)
+    return b
 
 
 def element_value(b: BlockSequence) -> Rational:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import sadicsets
 from sadicsets.cli import _COMMANDS, RunConfig, build_parser, config_from_args, dispatch, main
-from sadicsets.errors import SadicError
+from sadicsets.errors import ResourceBudgetError, SadicError
 
 
 def run_cli(*argv):
@@ -227,17 +227,24 @@ class TestSubcommands:
             ["boxcount", "--s", "30000", "--u", "0"],
         ],
     )
-    def test_oversized_alphabet_budget_exit(self, argv, capsys):
+    def test_oversized_alphabet_budget_exit(self, argv, capsys, monkeypatch):
         # the digit count comes from a closed form, before any word is
-        # built; the first call also warms up argparse
+        # built: the refusal takes no word builder and little time
+        message = f"digits, budget is {sadicsets.FRONTIER_BUDGET}"
         assert main(argv) == 2
-        capsys.readouterr()
-        t0 = time.perf_counter()
-        assert main(argv) == 2
-        assert time.perf_counter() - t0 < 0.01
         err = capsys.readouterr().err
-        assert f"digits, budget is {sadicsets.FRONTIER_BUDGET}" in err
+        assert message in err
         assert "Traceback" not in err
+        config = config_from_args(build_parser().parse_args(argv))
+
+        def build_no_word(*args):
+            raise AssertionError("a word was built before the refusal")
+
+        monkeypatch.setattr(sadicsets.combos, "_block_words", build_no_word)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match=message):
+            dispatch(config)
+        assert time.perf_counter() - t0 < 0.01
 
     @pytest.mark.parametrize(
         "argv,seconds,message",
@@ -251,6 +258,9 @@ class TestSubcommands:
             # the stage's block count and sum come in closed form
             (["measure", "--s", "10000000", "--u", "0", "--k", "1"], 0.1,
              "stage 1 for (s=10000000, u=0)"),
+            # the profile's size comes from s, before any digit is counted
+            (["freq", "--s", "100000", "--preperiod", "1", "--k", "1"], 0.1,
+             "would hold 100000 digit counts, budget is 65536"),
         ],
     )
     def test_refused_without_a_traceback(self, argv, seconds, message, capsys):

@@ -1,6 +1,7 @@
 """Digit statistics: forced marker frequency and the balance identity."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from sadicsets import (
     DigitString,
     NotAMemberError,
     RangeError,
+    ResourceBudgetError,
     SadicError,
     block_alphabet,
     block_encode,
@@ -22,7 +24,7 @@ from sadicsets import (
     structural_zero_frequency,
     uniform_stream_zero_frequency,
 )
-from sadicsets.normality import ResidualReport
+from sadicsets.normality import PROFILE_BUDGET, ResidualReport
 from sadicsets.sadic import _block_words, _split_blocks
 
 
@@ -34,7 +36,7 @@ def _residual_reference(d, u, k):
     s = d.base
     closers = block_alphabet(s, u)  # checks the marker before any digit
     digits = d.digits(k)
-    _, run = _split_blocks(digits, s, u)
+    _, run = _split_blocks(digits, u, closers[-1] - 1)
     counts = [0] * s
     for dig in digits:
         counts[dig] += 1
@@ -116,6 +118,23 @@ class TestDigitFrequencies:
     def test_rejects_zero_length(self):
         with pytest.raises(RangeError):
             digit_frequencies(DigitString(3, (), (1,)), 0)
+
+    def test_profile_budget(self):
+        # the largest base admitted counts; the next is refused, with
+        # the residual that reads the profile
+        prof = digit_frequencies(DigitString(PROFILE_BUDGET, (1,)), 1)
+        assert len(prof.counts) == PROFILE_BUDGET
+        d = DigitString(PROFILE_BUDGET + 1, (1,))
+        message = f"would hold {PROFILE_BUDGET + 1} digit counts, budget is {PROFILE_BUDGET}"
+        with pytest.raises(ResourceBudgetError, match=message):
+            digit_frequencies(d, 1)
+        with pytest.raises(ResourceBudgetError, match=message):
+            structural_identity_residual(d, 0, 1)
+        # the residual lists no closer before the profile is refused
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="budget is"):
+            structural_identity_residual(DigitString(10**7, (1,)), 0, 1)
+        assert time.perf_counter() - t0 < 0.1
 
     @given(st.integers(3, 7), st.data())
     @settings(deadline=None, max_examples=30)

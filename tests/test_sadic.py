@@ -110,6 +110,47 @@ def _decode_outcome(d: DigitString, u: int) -> list:
         return [type(exc).__name__, getattr(exc, "offset", None), str(exc)]
 
 
+# SHA-256 of the outcomes of the construction corpus below, recorded
+# from the generated dataclass constructors; a change to the public
+# constructors must raise the same error, in the same order of checks,
+# or build a value with the same repr.
+CONSTRUCTION_DIGEST = "ce5b111c7592e0b7aa94a082b5e67786791cc90d864739703ff8b3171c50e0ce"
+
+_PARAMS = (3, 4, 2, 1, 0, -1, True, 3.0, "3", None)
+_SEQS = (
+    (), (1,), (2,), (3,), (1, 2), [2, 1], range(1, 3), "12",
+    (0,), (-1,), (4,), (True,), (False,), (2.0,), ("1",), (None,), 5, None,
+)
+
+
+def _construction_corpus():
+    """Calls of the public constructors: each parameter an int in or out
+    of range, a bool, a float, a string or None; blocks, tails and digit
+    words empty or not, holding the marker, bad entries, or not
+    iterable at all; and calls with the wrong arguments."""
+    for s in _PARAMS:
+        for u in (0, 1, 2, 3, -1, True, 1.0, None):
+            for blocks in _SEQS:
+                for tail in _SEQS:
+                    yield BlockSequence, (s, u, blocks, tail), {}
+        for pre in _SEQS:
+            for per in _SEQS:
+                yield DigitString, (s, pre, per), {}
+    yield BlockSequence, (3, 0), {"tail": (1,)}
+    yield BlockSequence, (3,), {}
+    yield BlockSequence, (3, 0, (), None, 1), {}
+    yield DigitString, (3,), {"period": (1,)}
+    yield DigitString, (), {}
+    yield DigitString, (3,), {"digits": ()}
+
+
+def _construction_outcome(cls, args, kwargs) -> list:
+    try:
+        return ["ok", repr(cls(*args, **kwargs))]
+    except (SadicError, TypeError) as exc:
+        return [type(exc).__name__, str(exc)]
+
+
 class TestDigitString:
     def test_finite_value(self):
         d = DigitString(3, (1, 0, 2))
@@ -284,6 +325,21 @@ class TestBlockCodec:
         outcomes = [_decode_outcome(d, u) for d, u in _decode_corpus(20000, 4)]
         blob = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(blob.encode()).hexdigest() == DECODE_DIGEST
+
+    def test_construction_corpus_digest(self):
+        # Outcomes (repr, or error class and message) of 29,166 public
+        # constructions, pinned so that the constructors keep their
+        # checks, messages and the order they run in: BlockSequence(2,
+        # 0, (), 5) fails on its tail before its base is checked.
+        outcomes = [_construction_outcome(*call) for call in _construction_corpus()]
+        assert outcomes[-1] == [
+            "TypeError", "DigitString.__init__() got an unexpected keyword argument 'digits'"
+        ]
+        assert _construction_outcome(BlockSequence, (2, 0, (), 5), {}) == [
+            "TypeError", "'int' object is not iterable"
+        ]
+        blob = json.dumps(outcomes, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == CONSTRUCTION_DIGEST
 
     def test_decode_rejects_wrong_closer(self):
         d = DigitString(4, (1, 1, 1, 2))

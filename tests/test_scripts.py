@@ -52,3 +52,26 @@ def test_boxcount_sweep_past_the_frontier_budget(tmp_path):
     rows = list(csv.reader(out.read_text().splitlines()))[1:]
     assert [row[0] for row in rows] == list(script.SETS)
     assert all(float(row[4]) < 0.01 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "name,argv,flag,text",
+    [
+        ("measure_decay", ["--k-max", "+2"], "--k-max", "+2"),
+        ("measure_decay", ["--k-max", "x"], "--k-max", "x"),
+        ("boxcount_sweep", ["--lo", "1_0"], "--lo", "1_0"),
+        ("boxcount_sweep", ["--lo", " 4"], "--lo", " 4"),
+    ],
+)
+def test_integer_options_take_ascii_digits_only(name, argv, flag, text, capsys):
+    # the CLI's integer rule and usage exit: code 1, one error line and
+    # no traceback, where int() would have read "+2", "1_0" and " 4"
+    script = _load(name)
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(
+        f": error: argument {flag}: expected an integer, got {text!r}"
+    )
+    assert "Traceback" not in err
