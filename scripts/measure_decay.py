@@ -9,6 +9,7 @@ the script exits nonzero if they ever differ.
     python3 scripts/measure_decay.py --pairs 3:0,4:0 --k-max 8
 """
 
+import argparse
 import sys
 
 from sadicsets import (
@@ -20,10 +21,21 @@ from sadicsets import (
 from sadicsets.cli import _Parser, _parse_int
 
 
+def _parse_pairs(text: str) -> list[tuple[int, int]]:
+    # "3:0,4:0"; each s and u by the CLI's integer rule
+    pairs = [pair.split(":") for pair in text.split(",")]
+    if all(len(pair) == 2 for pair in pairs):
+        try:
+            return [(_parse_int(s), _parse_int(u)) for s, u in pairs]
+        except argparse.ArgumentTypeError:
+            pass
+    raise argparse.ArgumentTypeError(f"expected s:u pairs like 3:0,4:0, got {text!r}")
+
+
 def parse_args(argv=None):
     # the CLI's parser: a usage error exits 1, as in `sadicsets`
     ap = _Parser(description=__doc__.splitlines()[0])
-    ap.add_argument("--pairs", default="3:0,4:0", help="s:u pairs, comma list")
+    ap.add_argument("--pairs", type=_parse_pairs, default="3:0,4:0", help="s:u pairs, comma list")
     ap.add_argument("--k-max", type=_parse_int, default=8)
     return ap.parse_args(argv)
 
@@ -31,8 +43,7 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     bad = 0
-    for pair in args.pairs.split(","):
-        s, u = (int(p) for p in pair.split(":"))
+    for s, u in args.pairs:
         print(f"# s={s} u={u} sigma={sigma(s, u)}")
         print("k,closed_num,closed_den,closed_approx,enumerated")
         for k, length in measure_decay_report(s, u, args.k_max):

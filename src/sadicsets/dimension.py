@@ -10,6 +10,12 @@ In t = s**-alpha it reads P(t) = sum_k N_k t**k = 1, P increasing, so
 bisecting t on dyadic rationals with integer sign tests certifies the
 root by an exact bracket P(t_lo) < 1 <= P(t_hi).  m = 1 gives alpha = 0
 and sum_k N_k s**-k = 1 (words tiling the interval) gives alpha = 1.
+The bisection starts at level 44, at the bracket read off a float root
+and checked by two integer sign tests, and falls back to (0, 1] when
+the check fails or the counts overflow the doubles.  P is increasing,
+so each level has one bracket, and no level below 58 can stop the
+bisection: the result is that of bisecting from (0, 1], and the cost
+budget still bounds that whole bisection.
 
 `box_count_for_alphabet` measures the covering exponent of the set and
 serves as the empirical cross-check on the algebraic root; it never
@@ -89,8 +95,9 @@ class MoranEquation:
 
     def value_at_one(self) -> Rational:
         """Exact F(1); equal to 1 only for interval-tiling alphabets."""
-        return sum(
-            (Fraction(n, self.s**k) for k, n in self.counts), Fraction(0)
+        top = self.counts[-1][0]
+        return Fraction(
+            sum(n * self.s ** (top - k) for k, n in self.counts), self.s**top
         )
 
 
@@ -198,14 +205,73 @@ def _check_solve_cost(steps: int, bits: int, cost: int) -> None:
         )
 
 
+# The level at which the bisection starts from the float root: below
+# level 58 no bracket meets the stopping rule, so none is skipped.
+_SEED_LEVEL = 44
+
+
+def _float_root(counts) -> float:
+    """The root of P(t) = 1 in doubles, by Newton's method kept inside
+    the bracket its evaluations have found.
+
+    It starts at t = min_k N_k**(-1/k), where one term alone is 1, so
+    P(t) >= 1; P is convex, so the steps fall towards the root.  Raises
+    OverflowError for a count past the doubles.
+    """
+    terms = [(k, float(n)) for k, n in counts]
+    lo, hi = 0.0, 1.0
+    t = min(n ** (-1 / k) for k, n in terms)
+    for _ in range(100):
+        p = dp = 0.0
+        for k, n in terms:
+            x = n * t ** (k - 1)
+            p += x * t
+            dp += k * x
+        if p < 1:
+            lo = t
+        else:
+            hi = t
+        step = (p - 1) / dp
+        # a step that barely moves t ends Newton before the bracket is
+        # consulted: near the root, rounding can put a step on its ends
+        if abs(step) <= t * 2**-48:
+            return t - step
+        t -= step
+        if not lo < t < hi:
+            t = (lo + hi) / 2
+    return t
+
+
+def _seed_bracket(counts, top: int) -> tuple[int, int]:
+    """(m, b) with P(m / 2**b) < 1 <= P((m+1) / 2**b) at b = `_SEED_LEVEL`,
+    m read off the float root and checked by two exact sign tests; when
+    the first fails, m - 1 is tried, as the float root can round up past
+    a grid point.  Otherwise (0, 0), the bracket (0, 1]."""
+    b = _SEED_LEVEL
+    try:
+        m = int(_float_root(counts) * (1 << b))
+    except OverflowError:
+        return 0, 0
+    one = 1 << (b * top)
+    if _scaled_sum(counts, top, m, b) >= one:
+        # P(0) = 0, so m >= 1 here, and P(m / 2**b) >= 1 is known
+        m -= 1
+        return (m, b) if _scaled_sum(counts, top, m, b) < one else (0, 0)
+    return (m, b) if _scaled_sum(counts, top, m + 1, b) >= one else (0, 0)
+
+
 def moran_solve(eq: MoranEquation) -> DimensionResult:
     """Certified root of F(alpha) = 1, by bisection on t = s**-alpha.
 
-    The bracket (m/2**b, (m+1)/2**b) starts at (0, 1) and halves each
-    step on the integer test P(mid) >= 1: sum_k N_k m**k 2**(b(K-k)) >=
-    2**(bK), K the longest word length.  Relative to alpha its width is
-    at most 2**-b / (t |ln t|), so stopping at m (2**b - m - 1) >=
-    2**(b+55) pins alpha, read off the midpoint, to double precision.
+    The bracket (m/2**b, (m+1)/2**b) halves each step on the integer
+    test P(mid) >= 1: sum_k N_k m**k 2**(b(K-k)) >= 2**(bK), K the
+    longest word length.  Relative to alpha its width is at most
+    2**-b / (t |ln t|), so stopping at m (2**b - m - 1) >= 2**(b+55)
+    pins alpha, read off the midpoint, to double precision.  That needs
+    b >= 58, so the bracket starts at level 44 when the float root's
+    bracket there passes its sign tests (`_seed_bracket`), and at (0, 1)
+    otherwise; the bracket of each level is unique, so either start
+    ends at the same one.
     A single word gives alpha = 0, an interval-tiling alphabet alpha = 1.
     Any other equation is refused with `ResourceBudgetError`, before any
     big-integer work, when its estimated cost exceeds `SOLVE_BUDGET`.
@@ -216,7 +282,7 @@ def moran_solve(eq: MoranEquation) -> DimensionResult:
     if eq.value_at_one() == 1:
         return DimensionResult(1.0, 0.0, (1.0, 1.0), "1", (Fraction(1, eq.s),) * 2)
     top = eq.counts[-1][0]
-    m, b = 0, 0
+    m, b = _seed_bracket(eq.counts, top)
     while m * ((1 << b) - m - 1) < 1 << (b + 55):
         m, b = 2 * m + 1, b + 1
         if _scaled_sum(eq.counts, top, m, b) >= 1 << (b * top):

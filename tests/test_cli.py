@@ -16,7 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sadicsets
-from sadicsets.cli import _COMMANDS, RunConfig, build_parser, config_from_args, dispatch, main
+from sadicsets import cli
+from sadicsets.cli import (
+    _COMMANDS,
+    RunConfig,
+    _dumps,
+    build_parser,
+    config_from_args,
+    dispatch,
+    main,
+)
 from sadicsets.errors import ResourceBudgetError, SadicError
 
 
@@ -471,6 +480,68 @@ class TestHarness:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert json.loads(proc.stdout)["alpha"] == 0.0
+
+
+# Every value kind a document may hold: strings with escapes, control
+# characters and non-ASCII text, big ints, NaN and the infinities;
+# lists, tuples and dicts, with dicts keyed by str and by each non-str
+# kind json converts, one kind per dict so the keys sort.
+_SCALAR = (
+    st.text()
+    | st.sampled_from(["", "\n", "a\nb", "\"\\", "\x00\x1f", "\u00e9", "\U0001f600"])
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.sampled_from([0.1, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308])
+    | st.booleans()
+    | st.none()
+)
+_DOCUMENT = st.recursive(
+    _SCALAR,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+        | st.dictionaries(st.integers(), children, max_size=3)
+        | st.dictionaries(st.floats(allow_nan=False), children, max_size=3)
+        | st.dictionaries(st.booleans(), children, max_size=2)
+        | st.dictionaries(st.none(), children, max_size=1)
+    ),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    """`cli._dumps` is ``json.dumps(doc, sort_keys=True, indent=2)``
+    byte for byte; the goldens pin it on the CLI's own documents."""
+
+    @given(_DOCUMENT)
+    @example({"num": "1", "den": "3", "approx": 1 / 3})
+    @example({"params": {"base": [1, 2], "s": 3}, "results": [{"a": [[]], "b": {}}]})
+    @example({"counts": {1: [2, {"3": None}]}, "z": ()})
+    @settings(deadline=None, max_examples=200)
+    def test_matches_json_dumps(self, doc):
+        assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    def test_without_the_c_encoder(self, monkeypatch):
+        # an interpreter without json's C accelerator writes flat
+        # containers with json's pure-Python compact encoder
+        docs = [
+            json.loads(dispatch(RunConfig(subcommand=name, **params))[1])
+            for name, params in [
+                ("dim", {"s": 5, "u": 1}),
+                ("cylinder", {"s": 3, "u": 0, "base": (1, 2)}),
+                ("boxcount", {"s": 3, "u": 0}),
+            ]
+        ]
+        docs.append({"x": [1.5, math.nan, -math.inf, None, True, "\u00e9\n"], "y": {2: ()}})
+        monkeypatch.setattr(cli, "c_make_encoder", None)
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        cli._flat_writer.cache_clear()
+        try:
+            for doc in docs:
+                assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        finally:
+            cli._flat_writer.cache_clear()
 
 
 def _quiet_main(argv):

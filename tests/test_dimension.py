@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sadicsets import (
@@ -32,7 +32,17 @@ from sadicsets import (
 )
 from sadicsets import dimension
 from sadicsets.combos import _extrema_q, _frontier, _frontier_size
-from sadicsets.dimension import _check_exponent, _check_finest, _fit, _solve_cost
+from sadicsets.dimension import (
+    DimensionResult,
+    _alpha,
+    _check_exponent,
+    _check_finest,
+    _closed_form,
+    _fit,
+    _scaled_sum,
+    _seed_bracket,
+    _solve_cost,
+)
 
 PHI = (math.sqrt(5.0) + 1.0) / 2.0
 
@@ -122,6 +132,27 @@ def _frontier_box_count(a, depth, scale_exponents):
         boxes = {i // m for i in boxes}
         counts.append(len(boxes))
     return _fit([(Fraction(1, s**j), n) for j, n in zip(exps, reversed(counts))])
+
+
+def _bisect_from_zero(eq):
+    """Oracle of `moran_solve`: the plain bisection, every level from
+    the bracket (0, 1], with no float seed and no budget."""
+    if eq.m == 1:
+        return DimensionResult(0.0, 0.0, (0.0, 0.0), "0", (Fraction(1),) * 2)
+    if eq.value_at_one() == 1:
+        return DimensionResult(1.0, 0.0, (1.0, 1.0), "1", (Fraction(1, eq.s),) * 2)
+    top = eq.counts[-1][0]
+    m, b = 0, 0
+    while m * ((1 << b) - m - 1) < 1 << (b + 55):
+        m, b = 2 * m + 1, b + 1
+        if _scaled_sum(eq.counts, top, m, b) >= 1 << (b * top):
+            m -= 1
+    one = 1 << ((b + 1) * top)
+    residual = abs(_scaled_sum(eq.counts, top, 2 * m + 1, b + 1) - one) / one
+    bracket = (_alpha(m + 1, b, eq.s), _alpha(m, b, eq.s))
+    t_bracket = (Fraction(m, 1 << b), Fraction(m + 1, 1 << b))
+    alpha = _alpha(2 * m + 1, b + 1, eq.s)
+    return DimensionResult(alpha, residual, bracket, _closed_form(eq), t_bracket)
 
 
 def _P(eq, t):
@@ -337,6 +368,52 @@ class TestMoranSolve:
         bigger[extra_len] = bigger.get(extra_len, 0) + 1
         a2 = moran_solve(MoranEquation(s, bigger)).alpha
         assert a2 >= a1 - 1e-12
+
+
+class TestFloatSeed:
+    """`moran_solve` starts its bisection at a float-checked bracket of
+    level 44; the result is that of the bisection from (0, 1]."""
+
+    @given(
+        st.integers(2, 12),
+        st.dictionaries(
+            st.integers(1, 60),
+            st.integers(1, 1000) | st.integers(1, 10**400),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(3, {1: 1, 2: 2})  # tilde:3, the dyadic root t = 1/2
+    @example(3, {1: 2, 2000: 1})  # a 2,000-digit word
+    @example(5, {1: 3, 7: 10, 2000: 10**300})
+    @example(2, {2000: 2})  # t = 2**(-1/2000), next to 1
+    @example(10, {1: 1, 400: 10**320})  # counts past the doubles
+    @example(2, {1: 10**400, 3: 1})  # a root far below 2**-44
+    @settings(deadline=None, max_examples=150)
+    def test_result_is_the_plain_bisection(self, s, counts):
+        eq = MoranEquation(s, counts)
+        try:
+            r = moran_solve(eq)
+        except ResourceBudgetError:
+            return
+        assert r == _bisect_from_zero(eq)
+
+    def test_every_marker_set(self):
+        for s in range(3, 9):
+            for u in range(s):
+                eq = MoranEquation(s, {c: 1 for c in block_alphabet(s, u)})
+                assert moran_solve(eq) == _bisect_from_zero(eq), (s, u)
+
+    def test_seed_brackets(self):
+        # a root on the grid rounds up to it: m - 1 is the bracket
+        eq = MoranEquation.from_alphabet(tilde_alphabet(3))
+        assert _seed_bracket(eq.counts, 2) == ((1 << 43) - 1, 44)
+        # an irrational root: the bracket around the float root
+        eq = MoranEquation(3, {1: 1, 2: 1})
+        m, b = _seed_bracket(eq.counts, 2)
+        assert b == 44 and _P(eq, Fraction(m, 1 << b)) < 1 <= _P(eq, Fraction(m + 1, 1 << b))
+        # a count past the doubles starts from (0, 1]
+        assert _seed_bracket(((1, 10**400), (3, 1)), 3) == (0, 0)
 
 
 class TestMoranEquation:

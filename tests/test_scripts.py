@@ -54,6 +54,15 @@ def test_boxcount_sweep_past_the_frontier_budget(tmp_path):
     assert all(float(row[4]) < 0.01 for row in rows)
 
 
+# the usage error of each option that is not an integer, for the value
+# it names; the integer options say "expected an integer"
+_REFUSALS = {
+    "--pairs": "expected s:u pairs like 3:0,4:0, got {!r}",
+    "--sets": "unknown set {!r}, expected a comma list of "
+    "marker0-base3, marker0-base4, pooled-base3, interleaved-base3",
+}
+
+
 @pytest.mark.parametrize(
     "name,argv,flag,text",
     [
@@ -61,17 +70,23 @@ def test_boxcount_sweep_past_the_frontier_budget(tmp_path):
         ("measure_decay", ["--k-max", "x"], "--k-max", "x"),
         ("boxcount_sweep", ["--lo", "1_0"], "--lo", "1_0"),
         ("boxcount_sweep", ["--lo", " 4"], "--lo", " 4"),
+        ("measure_decay", ["--pairs", "3:x"], "--pairs", "3:x"),
+        ("measure_decay", ["--pairs", "3"], "--pairs", "3"),
+        ("measure_decay", ["--pairs", "3:0,+4:0"], "--pairs", "3:0,+4:0"),
+        ("boxcount_sweep", ["--fines", "1_0"], "--fines", "1_0"),
+        ("boxcount_sweep", ["--fines", "10,x"], "--fines", "x"),
+        ("boxcount_sweep", ["--sets", "nope"], "--sets", "nope"),
     ],
 )
 def test_integer_options_take_ascii_digits_only(name, argv, flag, text, capsys):
     # the CLI's integer rule and usage exit: code 1, one error line and
-    # no traceback, where int() would have read "+2", "1_0" and " 4"
+    # no traceback, where int() would have read "+2", "1_0" and " 4",
+    # and a bad pair or set name would have ended in a traceback
     script = _load(name)
     with pytest.raises(SystemExit) as exc:
         script.main(argv)
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].endswith(
-        f": error: argument {flag}: expected an integer, got {text!r}"
-    )
+    message = _REFUSALS.get(flag, "expected an integer, got {!r}").format(text)
+    assert err.splitlines()[-1].endswith(f": error: argument {flag}: {message}")
     assert "Traceback" not in err
