@@ -15,13 +15,14 @@ import csv
 import sys
 
 from sadicsets import (
+    SadicError,
     box_count_for_alphabet,
     dim_alphabet,
     induced_alphabet,
     sprime3_alphabet,
     tilde_alphabet,
 )
-from sadicsets.cli import _Parser, _parse_int
+from sadicsets.cli import _Parser, _parse_int, _refused
 
 SETS = {
     "marker0-base3": induced_alphabet(3, 0),
@@ -62,17 +63,21 @@ def main(argv=None) -> int:
     fh = open(args.output, "w", newline="") if args.output else sys.stdout
     w = csv.writer(fh)
     w.writerow(["set", "fine", "slope", "root", "gap"])
-    for name in args.sets:
-        a = SETS[name]
-        root = dim_alphabet(a).alpha
-        for fine in args.fines:
-            r = box_count_for_alphabet(a, a.max_len, list(range(args.lo, fine + 1)))
-            w.writerow(
-                [name, fine, f"{r.slope:.6f}", f"{root:.6f}",
-                 f"{abs(r.slope - root):.2e}"]
-            )
-    if args.output:
-        fh.close()
+    try:
+        for name in args.sets:
+            a = SETS[name]
+            root = dim_alphabet(a).alpha
+            for fine in args.fines:
+                r = box_count_for_alphabet(a, a.max_len, list(range(args.lo, fine + 1)))
+                w.writerow(
+                    [name, fine, f"{r.slope:.6f}", f"{root:.6f}",
+                     f"{abs(r.slope - root):.2e}"]
+                )
+    except SadicError as e:
+        return _refused(e)
+    finally:
+        if args.output:
+            fh.close()
     return 0
 
 

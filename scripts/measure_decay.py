@@ -14,11 +14,12 @@ import sys
 
 from sadicsets import (
     ResourceBudgetError,
+    SadicError,
     cover_stage,
     measure_decay_report,
     sigma,
 )
-from sadicsets.cli import _Parser, _parse_int
+from sadicsets.cli import _Parser, _parse_int, _refused
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
@@ -43,20 +44,23 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     bad = 0
-    for s, u in args.pairs:
-        print(f"# s={s} u={u} sigma={sigma(s, u)}")
-        print("k,closed_num,closed_den,closed_approx,enumerated")
-        for k, length in measure_decay_report(s, u, args.k_max):
-            try:
-                direct = cover_stage(s, u, k).total_length
-                enumerated = "match" if direct == length else "MISMATCH"
-                bad += direct != length
-            except ResourceBudgetError:
-                enumerated = "skipped"
-            print(
-                f"{k},{length.numerator},{length.denominator},"
-                f"{float(length):.6e},{enumerated}"
-            )
+    try:
+        for s, u in args.pairs:
+            print(f"# s={s} u={u} sigma={sigma(s, u)}")
+            print("k,closed_num,closed_den,closed_approx,enumerated")
+            for k, length in measure_decay_report(s, u, args.k_max):
+                try:
+                    direct = cover_stage(s, u, k).total_length
+                    enumerated = "match" if direct == length else "MISMATCH"
+                    bad += direct != length
+                except ResourceBudgetError:
+                    enumerated = "skipped"
+                print(
+                    f"{k},{length.numerator},{length.denominator},"
+                    f"{float(length):.6e},{enumerated}"
+                )
+    except SadicError as e:
+        return _refused(e)
     return 1 if bad else 0
 
 

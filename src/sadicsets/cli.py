@@ -458,6 +458,16 @@ def dispatch(config: RunConfig) -> tuple[int, str]:
     return code, text
 
 
+def _refused(e: SadicError) -> int:
+    """Report a library refusal on one stderr line and return its exit
+    code: 2 for a resource budget, 1 for any other domain error."""
+    if isinstance(e, ResourceBudgetError):
+        print(f"resource budget exceeded: {e}", file=sys.stderr)
+        return 2
+    print(f"error: {e}", file=sys.stderr)
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -472,12 +482,8 @@ def main(argv: list[str] | None = None) -> int:
             Path(config.output).write_text(text + "\n")
         else:
             print(text)
-    except ResourceBudgetError as e:
-        print(f"resource budget exceeded: {e}", file=sys.stderr)
-        return 2
     except SadicError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _refused(e)
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 1

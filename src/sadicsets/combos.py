@@ -17,21 +17,19 @@ hull is
 
     [num*q + p_lo, num*q + p_hi] / (q * s**N).
 
-Layers that only compare or sum hulls (the frontier audit, covering
-stages, point location) stay in these integers; a hull endpoint
-becomes a `Fraction` only when an API returns it, in `_hull`, which
-builds it with the trusted constructor `sadic._fraction`: one gcd and
-no argument checks.
+Layers that only compare or sum hulls (covering stages, point
+location) stay in these integers; a hull endpoint becomes a `Fraction`
+only when an API returns it, in `_hull`, which builds it with the
+trusted constructor `sadic._fraction`: one gcd and no argument checks.
 
 The frontier at depth D (`_frontier`) is built level by level over
 digit totals: every word sequence of total n <= D - L, L the longest
 word, is a parent and is extended by each word; the sequences of total
 n in (D - L, D] are the frontier, handed out as one group of numerators
-per n.  Word paths ride along only for a caller that returns or reports
-words (`enumerate_prefixes`, and the audit once it has found a prefix
-outside the claim); the audit's integer test sees numerators alone.
-Box counting reads neither the frontier nor the extrema: it counts by
-transfer over the word automaton (see `dimension`).
+per n, with the word sequences that spell them.  `enumerate_prefixes`
+is its one caller.  Box counting and the extrema read no frontier:
+both read the alphabet's word automaton (`_word_automaton`), the subset
+construction of its word trie.
 
 Frontier enumeration is refused with `ResourceBudgetError` when the
 exact frontier size, counted from the length histogram alone
@@ -43,15 +41,17 @@ whose words, counted in closed form, would hold more than
 
 Whole-set extrema follow the single-word periodic rule: the least and
 greatest element are attained by repeating one alphabet word forever.
-`comboset_extrema` re-checks that rule by brute force against every
-prefix hull up to the longest word plus three digits (`audit_extrema`
-takes any depth) and raises `ExtremaFalsificationError` with a witness
-if any hull pokes outside.  The audit runs there alone, as an oracle
-for tests and the extrema cross-check row of `acceptance` (s <= 8):
-the hull layers read their extrema unaudited, `combo_cylinder` and
-`enumerate_prefixes` from `_extrema_q`, and the marker-set `cylinder`,
-`cylinder_order`, `point_locate` and `cover_stage` from the closed
-forms of `set_extrema`.
+`comboset_extrema` checks that rule exactly against the word
+automaton, whose streams it orders digit by digit (Lind & Marcus,
+1995): always reading the least digit spells the least stream, always
+reading the greatest the greatest, and each walk closes a cycle within
+as many steps as there are states.  A claim that differs from those
+values raises `ExtremaFalsificationError` naming the stream.  The
+check runs there alone, for tests and the extrema cross-check row of
+`acceptance` (s <= 8): the hull layers read their extrema unchecked,
+`combo_cylinder` and `enumerate_prefixes` from `_extrema_q`, and the
+marker-set `cylinder`, `cylinder_order`, `point_locate` and
+`cover_stage` from the closed forms of `set_extrema`.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ from .sadic import (
 Interval = tuple[Rational, Rational]
 
 # Most frontier prefixes one enumeration may visit, most trie-edge reads
-# one box-counting transfer may make (`dimension._word_automaton`), and
-# most digits a built-in alphabet may hold.  At the budget ({0, 1} in
-# base 2 at depth 20), the extrema audit takes about 0.3 s and 65 MB
-# above the interpreter, and `enumerate_prefixes`, which returns a
-# `Fraction` hull per prefix, 12-14 s and 730 MB; a transfer near it
-# (tilde:20 to exponent 248, tilde:40 to 79) 0.1-0.2 s and under 5 MB
-# (2 cores, Python 3.11).
+# one pass over the word automaton may make (`_word_automaton`; a
+# box-counting transfer reads it once per digit level), and most digits
+# a built-in alphabet may hold.  At the budget ({0, 1} in base 2 at
+# depth 20), `enumerate_prefixes`, which returns a `Fraction` hull per
+# prefix, takes 12-14 s and 730 MB above the interpreter; a transfer
+# near it (tilde:20 to exponent 248, tilde:40 to 79) 0.1-0.2 s and
+# under 5 MB (2 cores, Python 3.11).
 FRONTIER_BUDGET = 1 << 20
 
 
@@ -290,14 +290,12 @@ def _frontier_size(a: ComboAlphabet, max_digits: int) -> int:
     )
 
 
-def _frontier(a: ComboAlphabet, max_digits: int, what: str, words: bool = False):
+def _frontier(a: ComboAlphabet, max_digits: int, what: str):
     """Check ``max_digits`` (named ``what`` in errors) and the frontier
-    budget, then return an iterator over the frontier prefixes, one
-    group (n, nums, paths) per digit total n in
-    (max_digits - L, max_digits], L the longest word: the prefixes of
-    total n are num / s**n for num in ``nums``.  With ``words`` set,
-    ``paths`` lists the word sequence of each prefix in step with
-    ``nums``; otherwise it is None.
+    budget, then list the frontier prefixes, one group (n, nums, paths)
+    per digit total n in (max_digits - L, max_digits], L the longest
+    word: the prefixes of total n are num / s**n for num in ``nums``,
+    spelled by the word sequences in ``paths``, in step.
 
     Each infinite stream of alphabet words passes through exactly one
     such frontier prefix, so the frontier hulls cover the whole set.
@@ -319,81 +317,122 @@ def _frontier(a: ComboAlphabet, max_digits: int, what: str, words: bool = False)
             f"{what} {max_digits} would enumerate {size} frontier prefixes, "
             f"budget is {FRONTIER_BUDGET}"
         )
-    return _levels(a, max_digits, words)
-
-
-def _levels(a: ComboAlphabet, max_digits: int, words: bool):
     # Level by level over digit totals: every prefix of total n <= low
     # is a parent, extended by each word into level n + len(word); the
     # levels above low are the frontier.  A parent level is dropped once
-    # extended.  The order within a level depends on the alphabet and
-    # the depth alone, so a walk with paths lists the same prefixes in
-    # the same order as one without.
+    # extended.
     low = max_digits - a.max_len
     steps = _word_steps(a.s, a.combos)
     nums = [[0]] + [[] for _ in range(max_digits)]
     paths = [[()]] + [[] for _ in range(max_digits)]
     for n in range(low + 1):
         level, nums[n] = nums[n], None
-        for k, step, v in steps:
+        named, paths[n] = paths[n], None
+        for (k, step, v), w in zip(steps, a.combos):
             nums[n + k] += [num * step + v for num in level]
-        if words:
-            level, paths[n] = paths[n], None
-            for (k, _, _), w in zip(steps, a.combos):
-                paths[n + k] += [path + (w,) for path in level]
-    for n in range(low + 1, max_digits + 1):
-        yield n, nums[n], paths[n] if words else None
+            paths[n + k] += [path + (w,) for path in named]
+    return [(n, nums[n], paths[n]) for n in range(low + 1, max_digits + 1)]
 
 
-def audit_extrema(
-    a: ComboAlphabet, inf: Rational, sup: Rational, max_digits: int
-) -> int:
-    """Check the claimed extrema against every frontier prefix hull at
-    the given digit depth; return how many hulls were checked.
+def _word_automaton(
+    a: ComboAlphabet, levels: int, what: str
+) -> list[dict[int, int]]:
+    """The subset automaton of the alphabet's word trie, as one row
+    {digit: next state} per state, in digit order; state 0 is the start.
 
-    A prefix of N digits confines its continuations to
-    value + s**-N * [inf, sup], so a violation of
-    inf <= hull.lower and hull.upper <= sup falsifies the claim; the
-    offending prefix is reported in the raised error.  With inf and sup
-    over one denominator q, the prefix num / s**N passes exactly when
-    p_lo * (s**N - 1) <= num*q <= p_hi * (s**N - 1), so each level
-    passes when its least and greatest numerator do.
+    A state is the set of trie nodes a digit string can have reached:
+    the proper word prefixes still being read, and the root once a word
+    has just closed.  A digit with no entry leads to the empty set, which
+    no stream passes.  Every listed state is live, as each prefix
+    completes to a word and each word to a stream.
+
+    A state's row is built from the trie edges out of its nodes, and a
+    caller that reads the automaton ``levels`` times reads at most those
+    edges again each time, so the edges read are counted as states are
+    found: once they times ``levels`` exceed `FRONTIER_BUDGET`, the work
+    (``what``) is refused with `ResourceBudgetError`.
     """
-    frontier = _frontier(a, max_digits, "audit depth")
-    claim = q, p_lo, p_hi = _over_one_denominator(inf, sup)
-    checked = 0
-    for n, nums, _ in frontier:
-        room = a.s**n - 1
-        lo, hi = p_lo * room, p_hi * room
-        if nums and (min(nums) * q < lo or max(nums) * q > hi):
-            # the error path walks the frontier again, with paths
-            i = next(i for i, num in enumerate(nums) if not lo <= num * q <= hi)
-            paths = next(
-                paths
-                for m, _, paths in _frontier(a, max_digits, "audit depth", words=True)
-                if m == n
+    children: list[dict[int, int]] = [{}]
+    closes = [False]
+    for w in a.combos:
+        node = 0
+        for d in w:
+            if d not in children[node]:
+                children[node][d] = len(children)
+                children.append({})
+                closes.append(False)
+            node = children[node][d]
+        closes[node] = True
+    # the nodes reached through trie node c: the root if c closes a
+    # word, and c itself if some word runs on past it
+    enter = [
+        (0,) * close + (c,) * bool(kids)
+        for c, (kids, close) in enumerate(zip(children, closes))
+    ]
+    index = {frozenset((0,)): 0}
+    states = list(index)
+    rows = []
+    edges = 0
+    for state in states:  # grows as new states are found
+        out: dict[int, set[int]] = {}
+        for node in state:
+            edges += len(children[node])
+            for d, c in children[node].items():
+                out.setdefault(d, set()).update(enter[c])
+        if edges * levels > FRONTIER_BUDGET:
+            raise ResourceBudgetError(
+                f"{what} would read at least {edges} trie edges per level, "
+                f"{edges * levels} in all, budget is {FRONTIER_BUDGET}"
             )
-            lo_hull, hi_hull = _hull(nums[i], a.s**n, claim)
-            words = " ".join(word_str(w) for w in paths[i])
-            raise ExtremaFalsificationError(
-                f"prefix {words} yields hull [{lo_hull}, {hi_hull}] outside "
-                f"claimed extrema [{inf}, {sup}]"
-            )
-        checked += len(nums)
-    return checked
+        row = {}
+        for d, nodes in sorted(out.items()):
+            key = frozenset(nodes)
+            if key not in index:
+                index[key] = len(states)
+                states.append(key)
+            row[d] = index[key]
+        rows.append(row)
+    return rows
+
+
+def _extreme_stream(s: int, rows: list[dict[int, int]], pick) -> DigitString:
+    """The stream the word automaton spells from its start by always
+    reading the digit ``pick`` (min or max) takes from a state's row;
+    the automaton is deterministic, so the walk closes a cycle within
+    len(rows) steps."""
+    digits: list[int] = []
+    seen: dict[int, int] = {}  # state -> digits read before it
+    state = 0
+    while state not in seen:
+        seen[state] = len(digits)
+        digits.append(pick(rows[state]))
+        state = rows[state][digits[-1]]
+    cut = seen[state]
+    return DigitString(s, digits[:cut], digits[cut:])
 
 
 def comboset_extrema(a: ComboAlphabet) -> ComboExtrema:
     """Least and greatest element of the set, with the single repeated
     words attaining them.
 
-    The periodic rule is always audited by brute force over every
-    frontier prefix at the longest word plus three total digits; a
-    violation raises `ExtremaFalsificationError` rather than being
-    absorbed.  `audit_extrema` audits at any other depth.
+    The single-word periodic rule (`_extrema_raw`) is checked exactly
+    against the word automaton: value respects the digit-by-digit order
+    of its streams, every state is live and the set of streams is
+    closed, so the walks that always read the least or the greatest
+    digit spell the true extrema.  A claim that differs raises
+    `ExtremaFalsificationError` naming the stream.
     """
     lo, hi, wlo, whi = _extrema_raw(a)
-    audit_extrema(a, lo, hi, a.max_len + 3)
+    rows = _word_automaton(a, 1, "the extrema walk")
+    for name, claim, pick in (("inf", lo, min), ("sup", hi, max)):
+        stream = _extreme_stream(a.s, rows, pick)
+        value = digits_to_rational(stream)
+        if value != claim:
+            spelled = f"{word_str(stream.preperiod)}({word_str(stream.period)})"
+            raise ExtremaFalsificationError(
+                f"stream {spelled} of the word automaton has value {value}, "
+                f"but the claimed {name} is {claim}"
+            )
     return ComboExtrema(lo, hi, wlo, whi)
 
 
@@ -446,7 +485,7 @@ def enumerate_prefixes(
     prefix); their hulls cover the set.  The sort key is the integer
     hull.lower * q * s**max_digits.
     """
-    frontier = _frontier(a, max_digits, "max_digits", words=True)
+    frontier = _frontier(a, max_digits, "max_digits")
     ext = q, p_lo, _ = _extrema_q(a)
     pw = [a.s**n for n in range(max_digits + 1)]
     keyed = sorted(

@@ -1,10 +1,15 @@
 """Dimension machinery for word-alphabet Cantor sets.
 
-An alphabet with N_k words of digit length k over base s has
-self-similar (here also Hausdorff) dimension equal to the unique root
-alpha >= 0 of
+An alphabet with N_k words of digit length k over base s has the
+Moran root alpha >= 0 of
 
     F(alpha) = sum_k N_k * s**(-k * alpha) = 1.
+
+The root is the set's dimension when distinct word sequences spell
+distinct streams, as in a prefix-free alphabet (every induced (s, u)
+alphabet, sprime3); otherwise it is only an upper bound: {0, 1, 01} in
+base 3 gives 0.8023, but its set holds exactly the {0, 1} streams, of
+dimension log 2/log 3 = 0.6309.
 
 In t = s**-alpha it reads P(t) = sum_k N_k t**k = 1, P increasing, so
 bisecting t on dyadic rationals with integer sign tests certifies the
@@ -41,7 +46,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .combos import FRONTIER_BUDGET, ComboAlphabet, tilde_alphabet
+from .combos import ComboAlphabet, _word_automaton, tilde_alphabet
 from .errors import (
     InvalidBaseError,
     RangeError,
@@ -365,65 +370,6 @@ def _check_finest(s: int, fine: int) -> None:
         )
 
 
-def _word_automaton(a: ComboAlphabet, levels: int) -> list[dict[int, int]]:
-    """The subset automaton of the alphabet's word trie, as one row
-    {digit: next state} per state, in digit order; state 0 is the start.
-
-    A state is the set of trie nodes a digit string can have reached:
-    the proper word prefixes still being read, and the root once a word
-    has just closed.  A digit with no entry leads to the empty set, which
-    no stream passes.  Every listed state is live, as each prefix
-    completes to a word and each word to a stream.
-
-    A state's row is built from the trie edges out of its nodes, and a
-    transfer step reads at most those edges again, so the edges read
-    are counted as states are found: once they times ``levels`` exceed
-    `FRONTIER_BUDGET`, the work is refused with `ResourceBudgetError`.
-    """
-    children: list[dict[int, int]] = [{}]
-    closes = [False]
-    for w in a.combos:
-        node = 0
-        for d in w:
-            if d not in children[node]:
-                children[node][d] = len(children)
-                children.append({})
-                closes.append(False)
-            node = children[node][d]
-        closes[node] = True
-    # the nodes reached through trie node c: the root if c closes a
-    # word, and c itself if some word runs on past it
-    enter = [
-        (0,) * close + (c,) * bool(kids)
-        for c, (kids, close) in enumerate(zip(children, closes))
-    ]
-    index = {frozenset((0,)): 0}
-    states = list(index)
-    rows = []
-    edges = 0
-    for state in states:  # grows as new states are found
-        out: dict[int, set[int]] = {}
-        for node in state:
-            edges += len(children[node])
-            for d, c in children[node].items():
-                out.setdefault(d, set()).update(enter[c])
-        if edges * levels > FRONTIER_BUDGET:
-            raise ResourceBudgetError(
-                f"box counting over {levels} digit levels would read at "
-                f"least {edges} trie edges per level, {edges * levels} in "
-                f"all, budget is {FRONTIER_BUDGET}"
-            )
-        row = {}
-        for d, nodes in sorted(out.items()):
-            key = frozenset(nodes)
-            if key not in index:
-                index[key] = len(states)
-                states.append(key)
-            row[d] = index[key]
-        rows.append(row)
-    return rows
-
-
 def _lifetimes(rows: list[dict[int, int]], digit: int) -> list[int | None]:
     """Per state, how many copies of ``digit`` in a row lead it to the
     empty set; None when it reads them forever."""
@@ -465,7 +411,9 @@ def _transfer_counts(a: ComboAlphabet, fine: int) -> list[int]:
     s = a.s
     if all(d == s - 1 for w in a.combos for d in w):
         return [1] * (fine + 1)  # the one point 1, in box s**j
-    rows = _word_automaton(a, fine + 1)
+    rows = _word_automaton(
+        a, fine + 1, f"box counting over {fine + 1} digit levels"
+    )
     tops, zeros = _lifetimes(rows, s - 1), _lifetimes(rows, 0)
     waits = []  # per state, the zeros r of each carry x d (s-1)^r
     for row in rows:
@@ -509,7 +457,8 @@ def box_count_for_alphabet(
     positionally and `boxcount` echoes it; dropping it waits for a
     change to the benchmark.  The transfer is refused with
     `ResourceBudgetError` when the trie edges its automaton reads,
-    times J + 1 levels, exceed `FRONTIER_BUDGET` (`_word_automaton`).
+    times J + 1 levels, exceed `FRONTIER_BUDGET`
+    (`combos._word_automaton`).
 
     The exponents must be ints >= 0, at least 3 and distinct; as the
     slope is fitted in doubles, s**-J must not round to 0.0.  With five

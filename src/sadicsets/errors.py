@@ -47,7 +47,7 @@ class WordError(SadicError):
 
 
 class ExtremaFalsificationError(SadicError):
-    """The brute-force audit found a prefix hull outside the claimed extrema."""
+    """Claimed extrema differ from the extreme streams of the word automaton."""
 
 
 class ResourceBudgetError(SadicError):

@@ -15,7 +15,6 @@ from sadicsets import (
     InvalidDigitError,
     ResourceBudgetError,
     WordError,
-    audit_extrema,
     combo_cylinder,
     comboset_extrema,
     enumerate_prefixes,
@@ -25,6 +24,7 @@ from sadicsets import (
     tilde_alphabet,
     digits_to_rational,
 )
+from sadicsets import combos
 from sadicsets.combos import _frontier_size
 
 
@@ -56,6 +56,27 @@ def _reference_prefixes(a, depth):
 
     grow((), 0)
     return sorted(out, key=lambda item: (item[0][0], item[1]))
+
+
+def _frontier_extrema(a, depth):
+    """Oracle of `comboset_extrema`: the extrema the depth-`depth`
+    frontier attests.  Each hull of `enumerate_prefixes` is
+    v + s**-N * [inf, sup] for the prefix value v of N digits, which
+    gives back the inf and sup it was built from; every hull must lie
+    inside [inf, sup], and the least lower and the greatest upper hull
+    endpoint must attain them."""
+    pairs = enumerate_prefixes(a, depth)
+    claims = set()
+    for (lower, upper), prefix in pairs:
+        digits = sum(prefix, ())
+        v, scale = digits_to_rational(DigitString(a.s, digits)), a.s ** len(digits)
+        claims.add(((lower - v) * scale, (upper - v) * scale))
+    assert len(claims) == 1
+    ((inf, sup),) = claims
+    assert all(inf <= lower and upper <= sup for (lower, upper), _ in pairs)
+    assert min(lower for (lower, _), _ in pairs) == inf
+    assert max(upper for (_, upper), _ in pairs) == sup
+    return inf, sup
 
 
 class TestAlphabets:
@@ -150,20 +171,55 @@ class TestExtrema:
         e = comboset_extrema(tilde_alphabet(4))
         assert (e.inf, e.sup) == (Fraction(1, 21), Fraction(14, 15))
 
-    def test_audit_reports_the_offending_prefix(self):
+    def test_wrong_claim_names_the_stream(self, monkeypatch):
         a = sprime3_alphabet()
-        inf, sup = Fraction(7, 26), Fraction(11, 26)
-        assert audit_extrema(a, inf, sup, 9) == _frontier_size(a, 9) == 8
-        with pytest.raises(ExtremaFalsificationError, match="prefix 021 yields hull"):
-            audit_extrema(a, inf + Fraction(1, 10**6), sup, 3)
-        with pytest.raises(ExtremaFalsificationError, match="prefix 102 yields hull"):
-            audit_extrema(a, inf, sup - Fraction(1, 10**6), 3)
+        raw = combos._extrema_raw(a)
+        lo, hi = raw[:2]
+        for wrong, stream in (
+            ((lo + Fraction(1, 10**6), hi, *raw[2:]), "(021)"),
+            ((lo, hi - Fraction(1, 10**6), *raw[2:]), "(102)"),
+        ):
+            monkeypatch.setattr(combos, "_extrema_raw", lambda _a: wrong)
+            with pytest.raises(ExtremaFalsificationError) as err:
+                comboset_extrema(a)
+            assert f"stream {stream} of the word automaton" in str(err.value)
+            # the frontier oracle rejects the same claim, which the hulls
+            # of `enumerate_prefixes` now carry
+            with pytest.raises(AssertionError):
+                _frontier_extrema(a, 9)
 
     def test_deeper_audit_passes(self):
         a = sprime3_alphabet()
         e = comboset_extrema(a)
         assert (e.inf, e.sup) == (Fraction(7, 26), Fraction(11, 26))
-        assert audit_extrema(a, e.inf, e.sup, 12) == _frontier_size(a, 12)
+        assert _frontier_extrema(a, 12) == (e.inf, e.sup)
+
+    @given(small_alphabets(), st.integers(0, 4))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_the_frontier_oracle(self, a, extra):
+        e = comboset_extrema(a)
+        assert (e.inf, e.sup) == _frontier_extrema(a, a.max_len + extra)
+        assert digits_to_rational(DigitString(a.s, (), e.arg_inf)) == e.inf
+        assert digits_to_rational(DigitString(a.s, (), e.arg_sup)) == e.sup
+
+    def test_walks_no_frontier(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the frontier was walked")
+
+        monkeypatch.setattr(combos, "_frontier", refuse)
+        e = comboset_extrema(tilde_alphabet(64))
+        assert (e.inf, e.sup) == combos._extrema_raw(tilde_alphabet(64))[:2]
+
+    def test_automaton_over_budget_refused(self, monkeypatch):
+        # a single 12-digit word: its automaton is a 12-state cycle with
+        # one trie edge per state
+        monkeypatch.setattr(combos, "FRONTIER_BUDGET", 10)
+        with pytest.raises(ResourceBudgetError) as err:
+            comboset_extrema(ComboAlphabet(3, ("012012012012",)))
+        assert str(err.value) == (
+            "the extrema walk would read at least 11 trie edges per level, "
+            "11 in all, budget is 10"
+        )
 
     @pytest.mark.parametrize("s", range(3, 9))
     def test_matches_marker_sets(self, s):
@@ -251,14 +307,10 @@ class TestEnumeratePrefixes:
     def test_budget_refuses_before_enumerating(self):
         a = tilde_alphabet(9)
         assert _frontier_size(a, 40) == 171_774_086_543_076_382_009
-        for call in (
-            lambda: enumerate_prefixes(a, 40),
-            lambda: audit_extrema(a, Fraction(0), Fraction(1), 40),
-        ):
-            with pytest.raises(ResourceBudgetError) as err:
-                call()
-            assert "171774086543076382009" in str(err.value)
-            assert str(FRONTIER_BUDGET) in str(err.value)
+        with pytest.raises(ResourceBudgetError) as err:
+            enumerate_prefixes(a, 40)
+        assert "171774086543076382009" in str(err.value)
+        assert str(FRONTIER_BUDGET) in str(err.value)
 
     def test_deep_frontier_refused_from_its_bound(self):
         # (3, 0) has the words 1 and 02, so j = (D - 2) // 2: through
@@ -274,18 +326,14 @@ class TestEnumeratePrefixes:
         # the exact count would take seconds and have too many digits
         # to print
         for depth, j in ((100_000, 49_999), (1_000_000, 499_999)):
-            for what, call in (
-                ("max_digits", lambda: enumerate_prefixes(a, depth)),
-                ("audit depth", lambda: audit_extrema(a, Fraction(0), Fraction(1), depth)),
-            ):
-                t0 = time.perf_counter()
-                with pytest.raises(ResourceBudgetError) as err:
-                    call()
-                assert time.perf_counter() - t0 < 0.1
-                assert str(err.value) == (
-                    f"{what} {depth} would enumerate at least 2**{j} "
-                    f"frontier prefixes, budget is {FRONTIER_BUDGET}"
-                )
+            t0 = time.perf_counter()
+            with pytest.raises(ResourceBudgetError) as err:
+                enumerate_prefixes(a, depth)
+            assert time.perf_counter() - t0 < 0.1
+            assert str(err.value) == (
+                f"max_digits {depth} would enumerate at least 2**{j} "
+                f"frontier prefixes, budget is {FRONTIER_BUDGET}"
+            )
 
     def test_budget_admits_the_cli_default(self):
         # tilde:5 at the CLI's default depth 12

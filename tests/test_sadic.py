@@ -25,7 +25,6 @@ from sadicsets import (
     RangeError,
     ResourceBudgetError,
     SadicError,
-    audit_extrema,
     block_alphabet,
     block_decode,
     block_encode,
@@ -537,7 +536,6 @@ _INT_ARGUMENTS = [
     (gap_interval, (3, ()), 1),
     (cylinder_order, (3, 0, ()), 1),
     (enumerate_prefixes, (_SPRIME3,), 6),
-    (audit_extrema, (_SPRIME3, Fraction(7, 26), Fraction(11, 26)), 6),
     (box_count_at_depth, (), 8),
     (rational_to_digits, (Fraction(1, 3), 3), 2),
     (_PERIODIC.digits, (), 2),
@@ -565,7 +563,7 @@ def test_all_lists_exactly_the_package_api():
         for name, obj in vars(sadicsets).items()
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
-    assert len(sadicsets.__all__) == len(set(sadicsets.__all__)) == 71
+    assert len(sadicsets.__all__) == len(set(sadicsets.__all__)) == 70
     assert set(sadicsets.__all__) == bound
     for name in sadicsets.__all__:
         obj = getattr(sadicsets, name)

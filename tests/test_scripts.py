@@ -90,3 +90,22 @@ def test_integer_options_take_ascii_digits_only(name, argv, flag, text, capsys):
     message = _REFUSALS.get(flag, "expected an integer, got {!r}").format(text)
     assert err.splitlines()[-1].endswith(f": error: argument {flag}: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name,argv,message",
+    [
+        ("measure_decay", ["--pairs", "1:0"], "error: s must be >= 3, got 1"),
+        (
+            "boxcount_sweep",
+            ["--fines", "700", "--sets", "marker0-base3"],
+            "error: finest scale 3**-700 rounds to 0.0 as a double, "
+            "and the slope is fitted in doubles",
+        ),
+    ],
+)
+def test_library_refusals_exit_as_in_the_cli(name, argv, message, capsys):
+    # a value the parser admits but the library refuses: exit 1 and one
+    # stderr line, as `sadicsets` gives, not a traceback
+    assert _load(name).main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
