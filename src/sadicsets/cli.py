@@ -9,6 +9,12 @@ indent=2)``, written mostly by json's C encoder (`_dumps`).
 
 Exit codes: 0 success, 1 domain errors (bad parameters, malformed
 files, pattern violations), 2 resource-budget refusals.
+
+At start-up the CLI imports no library layer but `errors`.  Each
+handler calls the library through the package's attributes
+(`sadicsets.cylinder`), which import a layer on its first use and bind
+the name for later calls.  So only `dim`, `boxcount` and `reproduce`
+load `dimension`, and with it numpy.
 """
 
 from __future__ import annotations
@@ -22,36 +28,10 @@ from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
+import sadicsets
+
 from . import __version__
-from .acceptance import format_table, run_all
-from .combos import (
-    ComboAlphabet,
-    induced_alphabet,
-    sprime3_alphabet,
-    tilde_alphabet,
-)
-from .cylinders import cylinder, gap_interval
-from .dimension import (
-    _check_exponent,
-    _check_finest,
-    box_count_for_alphabet,
-    dim_S,
-    dim_alphabet,
-)
-from .errors import ResourceBudgetError, SadicError
-from .measure import cover_stage
-from .normality import (
-    digit_frequencies,
-    normal_candidate_exists,
-    structural_identity_residual,
-)
-from .sadic import (
-    BlockSequence,
-    DigitString,
-    block_encode,
-    digits_to_rational,
-    rational_json,
-)
+from .errors import ResourceBudgetError, SadicError, WordError
 
 _FORMATS = ("json", "csv", "table")
 
@@ -151,16 +131,16 @@ def _parse_scales(text: str) -> tuple[int, ...] | range:
     return range(values[0], values[1] + 1) if span else tuple(values)
 
 
-def _load_alphabet(source: str) -> ComboAlphabet:
+def _load_alphabet(source: str) -> sadicsets.ComboAlphabet:
     """Named builtin ("sprime3", "tilde:4") or a JSON alphabet file."""
     if source == "sprime3":
-        return sprime3_alphabet()
+        return sadicsets.sprime3_alphabet()
     if source.startswith("tilde:"):
         try:
             s = _parse_int(source.removeprefix("tilde:"))
         except argparse.ArgumentTypeError as e:
             raise SadicError(f"bad alphabet spec {source!r}: expected tilde:<s>") from e
-        return tilde_alphabet(s)
+        return sadicsets.tilde_alphabet(s)
     try:
         data = json.loads(Path(source).read_text())
     except OSError as e:
@@ -168,8 +148,8 @@ def _load_alphabet(source: str) -> ComboAlphabet:
     except json.JSONDecodeError as e:
         raise SadicError(f"malformed alphabet file {source!r}: {e}") from e
     try:
-        return ComboAlphabet.from_json(data)
-    except (KeyError, TypeError, ValueError) as e:
+        return sadicsets.ComboAlphabet.from_json(data)
+    except (TypeError, ValueError, WordError) as e:
         raise SadicError(f"bad alphabet structure in {source!r}: {e}") from e
 
 
@@ -226,7 +206,7 @@ def _need_su(config: RunConfig) -> tuple[int, int]:
 def _dim(config: RunConfig) -> _Result:
     if config.alphabet is not None:
         a = _load_alphabet(config.alphabet)
-        r = dim_alphabet(a)
+        r = sadicsets.dim_alphabet(a)
         body = {
             "s": a.s,
             "m": a.m,
@@ -235,24 +215,25 @@ def _dim(config: RunConfig) -> _Result:
             **r.to_json(),
         }
         return body, None
-    return dim_S(*_need_su(config)).to_json(), None
+    return sadicsets.dim_S(*_need_su(config)).to_json(), None
 
 
 def _cylinder(config: RunConfig) -> _Result:
-    return cylinder(config.s, config.u, config.base).to_json(), None
+    return sadicsets.cylinder(config.s, config.u, config.base).to_json(), None
 
 
 def _gaps(config: RunConfig) -> _Result:
-    return gap_interval(config.s, config.base, config.p).to_json(), None
+    return sadicsets.gap_interval(config.s, config.base, config.p).to_json(), None
 
 
 def _generate(config: RunConfig) -> _Result:
-    d = block_encode(BlockSequence(config.s, config.u, config.blocks, config.tail))
+    blocks = sadicsets.BlockSequence(config.s, config.u, config.blocks, config.tail)
+    d = sadicsets.block_encode(blocks)
     n = config.n if d.period is not None else min(config.n, len(d.preperiod))
     body = {
         "digits": list(d.digits(n)),
         "digit_string": d.to_json(),
-        "value": rational_json(digits_to_rational(d)),
+        "value": sadicsets.rational_json(sadicsets.digits_to_rational(d)),
         "is_member_value": d.period is not None,
     }
     return body, None
@@ -262,14 +243,14 @@ def _boxcount(config: RunConfig) -> _Result:
     if config.alphabet is not None:
         a = _load_alphabet(config.alphabet)
     else:
-        a = induced_alphabet(*_need_su(config))
+        a = sadicsets.induced_alphabet(*_need_su(config))
     scales = config.scales
     if isinstance(scales, range) and scales:
         # a span is checked at its ends before it is listed
-        _check_exponent(scales[0])
-        _check_finest(a.s, scales[-1])
-    r = box_count_for_alphabet(a, config.depth, list(scales))
-    body = {"alpha_equation": dim_alphabet(a).alpha, **r.to_json()}
+        sadicsets.dimension._check_exponent(scales[0])
+        sadicsets.dimension._check_finest(a.s, scales[-1])
+    r = sadicsets.box_count_for_alphabet(a, config.depth, list(scales))
+    body = {"alpha_equation": sadicsets.dim_alphabet(a).alpha, **r.to_json()}
     if config.fmt != "csv":
         return body, None
     csv = ["eps_num,eps_den,eps_approx,boxes"]
@@ -283,14 +264,14 @@ def _measure(config: RunConfig) -> _Result:
     s, u = config.s, config.u
     # The stage budget grows with k, so stage k goes first: a refusal
     # comes before any stage is built, and names stage k.
-    last = cover_stage(s, u, config.k)
-    stages = [cover_stage(s, u, k) for k in range(1, config.k)] + [last]
+    last = sadicsets.cover_stage(s, u, config.k)
+    stages = [sadicsets.cover_stage(s, u, k) for k in range(1, config.k)] + [last]
     body = {
         "stages": [
             {
                 "k": st.k,
                 "count": len(st.intervals),
-                "total_length": rational_json(st.total_length),
+                "total_length": sadicsets.rational_json(st.total_length),
             }
             for st in stages
         ]
@@ -305,26 +286,26 @@ def _measure(config: RunConfig) -> _Result:
 
 
 def _freq(config: RunConfig) -> _Result:
-    d = DigitString(config.s, config.preperiod, config.period)
-    body = {"profile": digit_frequencies(d, config.k).to_json()}
+    d = sadicsets.DigitString(config.s, config.preperiod, config.period)
+    body = {"profile": sadicsets.digit_frequencies(d, config.k).to_json()}
     if config.u is not None:
-        body["residual"] = structural_identity_residual(d, config.u, config.k).to_json()
+        body["residual"] = sadicsets.structural_identity_residual(d, config.u, config.k).to_json()
     return body, None
 
 
 def _normal(config: RunConfig) -> _Result:
-    return normal_candidate_exists(config.s).to_json(), None
+    return sadicsets.normal_candidate_exists(config.s).to_json(), None
 
 
 def _reproduce(config: RunConfig) -> _Result:
-    results = run_all(only=config.only, seed=config.seed)
+    results = sadicsets.run_all(only=config.only, seed=config.seed)
     if not results:
         raise SadicError(f"no acceptance row matches {config.only!r}")
     body = {
         "results": [r.to_json() for r in results],
         "passed": all(r.passed for r in results),
     }
-    return body, None if config.fmt == "json" else format_table(results)
+    return body, None if config.fmt == "json" else sadicsets.format_table(results)
 
 
 @dataclass(frozen=True)

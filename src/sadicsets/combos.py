@@ -179,7 +179,13 @@ class ComboAlphabet:
         return {"s": self.s, "combos": [word_str(w) if all(d < 10 for d in w) else list(w) for w in self.combos]}
 
     @staticmethod
-    def from_json(obj: dict) -> ComboAlphabet:
+    def from_json(obj: object) -> ComboAlphabet:
+        expected = "expected a JSON object with keys 's' and 'combos'"
+        if not isinstance(obj, dict):
+            raise WordError(f"{expected}, got {obj!r:.40}")
+        missing = [repr(key) for key in ("s", "combos") if key not in obj]
+        if missing:
+            raise WordError(f"{expected}, missing {' and '.join(missing)}")
         return ComboAlphabet(obj["s"], obj["combos"])
 
 

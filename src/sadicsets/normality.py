@@ -15,8 +15,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .dimension import DimensionResult, MoranEquation, dim_S, moran_solve
 from .errors import RangeError, ResourceBudgetError, SadicError
 from .sadic import (
     DigitString,
@@ -27,6 +27,9 @@ from .sadic import (
     block_alphabet,
     rational_json,
 )
+
+if TYPE_CHECKING:
+    from .dimension import DimensionResult
 
 
 # Most digit values a frequency profile may count.  The profile holds
@@ -154,6 +157,9 @@ def normality_dimension_bounds() -> tuple[DimensionResult, DimensionResult]:
     marker-0 base-3 set, alpha = log((sqrt(5)+1)/2)/log(3).  Both are
     solved numerically and checked against the closed forms.
     """
+    # the one use of `dimension` here, so counting digits loads no numpy
+    from .dimension import MoranEquation, dim_S, moran_solve
+
     lower = moran_solve(MoranEquation(3, ((3, 2),)))
     upper = dim_S(3, 0)
     lo_exact = math.log(2) / (3 * math.log(3))

@@ -135,6 +135,18 @@ class TestDim:
             assert main(["dim", "--alphabet", source]) == 1
             assert main(["boxcount", "--alphabet", source]) == 1
 
+    @pytest.mark.parametrize("text,problem", [
+        ("[1, 2]", "got [1, 2]"),
+        ('{"s": 3}', "missing 'combos'"),
+    ])
+    def test_wrong_file_shape_names_the_expected_object(self, tmp_path, capsys, text, problem):
+        f = tmp_path / "alpha.json"
+        f.write_text(text)
+        assert main(["dim", "--alphabet", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert f"bad alphabet structure in {str(f)!r}: " in err
+        assert f"expected a JSON object with keys 's' and 'combos', {problem}" in err
+
     def test_needs_marker_or_alphabet(self, capsys):
         assert main(["dim", "--s", "3"]) == 1
 

@@ -557,7 +557,9 @@ def test_int_arguments_reject_floats_and_bools(func, args, good):
 def test_all_lists_exactly_the_package_api():
     # Every public name the package binds, its submodules aside, is in
     # __all__ and vice versa; each comes from a package module except
-    # the `Rational` alias of `fractions.Fraction`.
+    # the `Rational` alias of `fractions.Fraction`.  The package binds a
+    # name on first lookup, so every name is looked up first.
+    resolved = {name: getattr(sadicsets, name) for name in sadicsets.__all__}
     bound = {
         name
         for name, obj in vars(sadicsets).items()
@@ -565,9 +567,14 @@ def test_all_lists_exactly_the_package_api():
     }
     assert len(sadicsets.__all__) == len(set(sadicsets.__all__)) == 70
     assert set(sadicsets.__all__) == bound
-    for name in sadicsets.__all__:
-        obj = getattr(sadicsets, name)
+    for name, obj in resolved.items():
+        home = sys.modules[f"sadicsets.{sadicsets._HOME[name]}"]
+        assert getattr(home, name) is obj, name
         if name == "Rational":
             assert obj is Fraction
         elif callable(obj):
             assert obj.__module__.startswith("sadicsets."), name
+    star: dict = {}
+    exec("from sadicsets import *", star)
+    assert set(star) - {"__builtins__"} == set(sadicsets.__all__)
+    assert set(dir(sadicsets)) >= set(sadicsets.__all__)
