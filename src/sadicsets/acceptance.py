@@ -92,6 +92,47 @@ def _result(name, passed, observed, expected, tolerance, t0, detail=""):
     )
 
 
+def _sampler(rng: random.Random):
+    """``randint(a, b)`` and ``choices(seq, n)`` for ``rng``: the first
+    draws what ``rng.randint(a, b)`` draws, the second what ``n``
+    successive ``rng.choice(seq)`` calls draw, as a tuple.
+
+    Both take a value below n from ``rng.getrandbits`` as CPython's
+    ``Random._randbelow_with_getrandbits`` does: draw k = n.bit_length()
+    bits, again while the draw is n or more.  So they make the same
+    draws and leave ``rng`` in the same state as the stdlib calls, in
+    about half the time: `choices` makes one Python call for all its
+    draws, where ``rng.choice`` makes two per draw and ``rng.randint``
+    three (`tests/test_acceptance.py` pins the draws to the stdlib's).
+    """
+    getrandbits = rng.getrandbits
+
+    def randint(a: int, b: int) -> int:
+        n = b - a + 1
+        if n < 1:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return a + r
+
+    def choices(seq, count: int) -> tuple:
+        n = len(seq)
+        if not n and count:
+            raise IndexError("cannot choose from an empty sequence")
+        k = n.bit_length()
+        out = []
+        for _ in range(count):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            out.append(seq[r])
+        return tuple(out)
+
+    return randint, choices
+
+
 def check_closed_form_dimensions() -> CriterionResult:
     """Marker-0 base-3 dimension and the two-word base-3 dimension hit
     their closed forms within 1e-9, each in under 0.1 s."""
@@ -212,10 +253,17 @@ def check_ordering_and_gaps() -> CriterionResult:
                         failures.append(f"order s={s} u={u} base={base} p={p}: {e}")
         # sorted by lower endpoint, as `enumerate_prefixes` returns them
         hulls = [h for h, _ in enumerate_prefixes(induced_alphabet(s, 0), 12)]
-        hull_infs = [h[0] for h in hulls]
+        # Every endpoint as an integer over one common denominator den,
+        # so the sort and the bisections compare ints, not `Fraction`s.
+        den = math.lcm(*{e.denominator for h in hulls for e in h})
+        scaled = [
+            (lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
+            for lo, hi in hulls
+        ]
+        hull_infs = [lo for lo, _ in scaled]
         # Hull endpoints are attained by eventually periodic continuations,
         # so they are genuine member values reached at depth 12.
-        values = sorted({e for h in hulls for e in h})
+        values = sorted({e for h in scaled for e in h})
         max_len = s - 1
         bases0 = [
             b for r in range(4) for b in product(range(1, s), repeat=r)
@@ -224,17 +272,22 @@ def check_ordering_and_gaps() -> CriterionResult:
             for p in range(1, s - 1):
                 gap = gap_interval(s, base, p)
                 gaps_checked += 1
-                i = bisect_right(values, gap.lower)
-                if i < len(values) and values[i] < gap.upper:
+                # v / den > a / b exactly when v > a * den // b, and
+                # v / den >= c / d exactly when v >= ceil(c * den / d)
+                a, b = gap.lower.numerator, gap.lower.denominator
+                c, d = gap.upper.numerator, gap.upper.denominator
+                i = bisect_right(values, a * den // b)
+                if i < len(values) and values[i] * d < c * den:
                     failures.append(
-                        f"gap s={s} base={base} p={p} contains member value {values[i]}"
+                        f"gap s={s} base={base} p={p} contains member value "
+                        f"{Fraction(values[i], den)}"
                     )
                 if sum(base) + max_len > 12:
                     # a frontier ancestor hull may legitimately contain
                     # this gap; only the member-value check applies
                     continue
-                j = bisect_left(hull_infs, gap.upper) - 1
-                if j >= 0 and hulls[j][1] > gap.lower:
+                j = bisect_left(hull_infs, -(-c * den // d)) - 1
+                if j >= 0 and scaled[j][1] * b > a * den:
                     failures.append(
                         f"gap s={s} base={base} p={p} overlaps hull {hulls[j]}"
                     )
@@ -352,11 +405,11 @@ def check_normality_dichotomy(seed: int = 0) -> CriterionResult:
         v = normal_candidate_exists(s)
         if structural_zero_frequency(s) == Fraction(1, s) or v.exists:
             failures.append(f"s={s} wrongly admits balanced members")
-    rng = random.Random(seed)
+    _, choices = _sampler(random.Random(seed))
     words = [(0, 2, 1), (1, 0, 2)]
     stream: list[int] = []
-    for _ in range(10000):
-        stream.extend(rng.choice(words))
+    for word in choices(words, 10000):
+        stream.extend(word)
     d = DigitString(3, tuple(stream))
     prof = digit_frequencies(d, 30000)
     for i, f in enumerate(prof.freqs):
@@ -393,9 +446,8 @@ def check_codec_bijection(seed: int = 0) -> CriterionResult:
     (s, u), and distinct periodic streams map to distinct values."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    # Bound once; list comprehensions make the same draws, in the same
-    # order, as generator expressions.
-    choice, randint, rand = rng.choice, rng.randint, rng.random
+    randint, choices = _sampler(rng)
+    rand = rng.random
     failures = []
     roundtrips = 0
     pairs = 0
@@ -403,12 +455,8 @@ def check_codec_bijection(seed: int = 0) -> CriterionResult:
         for u in range(s):
             alphabet = block_alphabet(s, u)
             for _ in range(10000):
-                blocks = tuple([choice(alphabet) for _ in range(randint(0, 6))])
-                tail = (
-                    tuple([choice(alphabet) for _ in range(randint(1, 3))])
-                    if rand() < 0.5
-                    else None
-                )
+                blocks = choices(alphabet, randint(0, 6))
+                tail = choices(alphabet, randint(1, 3)) if rand() < 0.5 else None
                 b = BlockSequence(s, u, blocks, tail)
                 back = block_decode(block_encode(b), u)
                 if back != b:
@@ -424,14 +472,10 @@ def check_codec_bijection(seed: int = 0) -> CriterionResult:
 
             for _ in range(500):
                 b1 = BlockSequence(
-                    s, u,
-                    tuple([choice(alphabet) for _ in range(randint(0, 4))]),
-                    tuple([choice(alphabet) for _ in range(randint(1, 3))]),
+                    s, u, choices(alphabet, randint(0, 4)), choices(alphabet, randint(1, 3))
                 )
                 b2 = BlockSequence(
-                    s, u,
-                    tuple([choice(alphabet) for _ in range(randint(0, 4))]),
-                    tuple([choice(alphabet) for _ in range(randint(1, 3))]),
+                    s, u, choices(alphabet, randint(0, 4)), choices(alphabet, randint(1, 3))
                 )
                 if unroll(b1, 24) == unroll(b2, 24):
                     continue  # same stream, same value: not an injectivity case

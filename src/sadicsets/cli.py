@@ -219,11 +219,15 @@ def _dim(config: RunConfig) -> _Result:
 
 
 def _cylinder(config: RunConfig) -> _Result:
-    return sadicsets.cylinder(config.s, config.u, config.base).to_json(), None
+    s, u, base = config.s, config.u, config.base
+    sadicsets.cylinders._check_printable(s, u, base)
+    return sadicsets.cylinder(s, u, base).to_json(), None
 
 
 def _gaps(config: RunConfig) -> _Result:
-    return sadicsets.gap_interval(config.s, config.base, config.p).to_json(), None
+    s, base, p = config.s, config.base, config.p
+    sadicsets.cylinders._check_printable(s, 0, base, p)
+    return sadicsets.gap_interval(s, base, p).to_json(), None
 
 
 def _generate(config: RunConfig) -> _Result:

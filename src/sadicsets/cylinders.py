@@ -35,12 +35,13 @@ in it, and `measure.cover_stage` builds its stages in it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .combos import _hull, _over_one_denominator, _word_steps, induced_alphabet
-from .errors import InvalidBaseError, RangeError, SadicError
+from .errors import InvalidBaseError, RangeError, ResourceBudgetError, SadicError
 from .sadic import (
     BlockSequence,
     Rational,
@@ -213,19 +214,64 @@ class GapInterval:
         }
 
 
-def gap_interval(s: int, base, p: int) -> GapInterval:
-    """The open gap between the marker-0 children p (above) and p+1
-    (below) of ``base``; nonempty for every 1 <= p <= s-2."""
-    base = tuple(base)
+def _validate_gap(s: int, p: int) -> None:
     _validate_marker(s, 0)
     _require_int(p, 1, InvalidBaseError, "p")
     if p > s - 2:
         raise InvalidBaseError(f"p must lie in 1..{s - 2}, got {p}")
+
+
+def gap_interval(s: int, base, p: int) -> GapInterval:
+    """The open gap between the marker-0 children p (above) and p+1
+    (below) of ``base``; nonempty for every 1 <= p <= s-2."""
+    base = tuple(base)
+    _validate_gap(s, p)
     above = cylinder(s, 0, base + (p,))
     below = cylinder(s, 0, base + (p + 1,))
     if below.sup >= above.inf:
         raise SadicError("internal: expected a nonempty gap")
     return GapInterval(s, base, p, below.sup, above.inf)
+
+
+def _check_printable(s: int, u: int, base: tuple[int, ...], p: int | None = None) -> None:
+    """Refuse with `ResourceBudgetError` the `cylinder` (``p`` None) or
+    the `gap_interval` (``p`` given, u = 0) whose JSON must print an
+    integer of more digits than ``sys.get_int_max_str_digits()``, before
+    any power of s is built.  `rational_json` refuses the same output,
+    but only after seconds of big-integer work when s is large.
+
+    The estimate is a lower bound on the digits of one printed integer:
+    - over s**C, C = sum(base), the denominator of each hull endpoint is
+      a multiple of that of inf0 or sup0, which exceeds s**e: e = s - 2
+      for u = 0, e = u for 2 <= u <= s - 2, else e = s - 3;
+    - the diameter is d0 / s**C, with 0 < d0 < 1 once the alphabet has
+      two blocks, so its denominator exceeds s**C;
+    - s**n has more than n (bit_length(s) - 1) / 4 digits.
+    So nothing `rational_json` would print is refused.  A quarter digit
+    per bit is coarse on purpose: near the limit the exact work takes
+    milliseconds, and `rational_json` then names the exact digit count.
+    A call about to be refused is first checked as the library call
+    checks it, so a bad parameter is still reported as such.
+    """
+    if u == 0:
+        e = s - 2
+    elif 1 < u < s - 1:
+        e = u
+    else:
+        e = s - 3
+    if p is None and (u == 0 or s > 3) and sum(base) > e:
+        e = sum(base)
+    digits = e * (s.bit_length() - 1) // 4 + 1
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        if p is not None:
+            _validate_gap(s, p)
+        _validate_base(s, u, base)
+        what = "cylinder" if p is None else "gap"
+        raise ResourceBudgetError(
+            f"{what} of s={s}, u={u} prints an integer of at least {digits} "
+            f"digits, over the {limit}-digit limit for printing one"
+        )
 
 
 @dataclass(frozen=True)
@@ -341,10 +387,26 @@ def extension_value_bounds(
     feasible at depths where plain enumeration is not.  Serves as the
     independent bracket oracle for `cylinder`: both extrema of
     the cylinder lie within s**-(C + n_blocks) of these partial values.
+    The dynamic programme never reads ``base``, so it runs once per
+    (s, u, n_blocks) (`_extension_bounds_q`); the prefix value and its
+    scale are added per call.
     """
     base = tuple(base)
     _validate_base(s, u, base)
     _require_int(n_blocks, 1, InvalidBaseError, "n_blocks")
+    lo_int, hi_int, mdim = _extension_bounds_q(s, u, n_blocks)
+    prefix = element_value(BlockSequence(s, u, base, None))
+    scale = Fraction(1, s ** sum(base))
+    den = s**mdim
+    return prefix + scale * Fraction(lo_int, den), prefix + scale * Fraction(hi_int, den)
+
+
+# Typed, as `_set_extrema_q` is; the callers check (s, u, n_blocks) first.
+@lru_cache(maxsize=64, typed=True)
+def _extension_bounds_q(s: int, u: int, n_blocks: int) -> tuple[int, int, int]:
+    """(lo_int, hi_int, mdim): the least and greatest scaled tail sum
+    of ``n_blocks`` blocks, each over s**mdim, mdim = n_blocks times
+    the largest block."""
     alphabet = block_alphabet(s, u)
     lo_c, hi_c = alphabet[0], alphabet[-1]
     mdim = n_blocks * hi_c
@@ -369,9 +431,4 @@ def extension_value_bounds(
             layer[off] = (best_lo, best_hi)
         bounds = layer
     lo_int, hi_int = bounds[0]
-    prefix = element_value(BlockSequence(s, u, base, None))
-    scale = Fraction(1, s ** sum(base))
-    return (
-        prefix + scale * Fraction(lo_int, pw[mdim]),
-        prefix + scale * Fraction(hi_int, pw[mdim]),
-    )
+    return lo_int, hi_int, mdim

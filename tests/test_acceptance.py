@@ -4,15 +4,33 @@ Each criterion prints its one-line verdict with the measured values so a
 bare pytest run doubles as the reproduction log.
 """
 
+import random
+
 import pytest
 
-from sadicsets.acceptance import CRITERIA
+from sadicsets.acceptance import CRITERIA, _sampler
 
-# Work a row must report at seed 0: a faster codec must do the same
-# roundtrips and compare the same pairs, not fewer.
+# What each row reports, at seed 0 for every row and at seed 1 for the
+# seeded ones: a faster row must do the same work and count the same
+# things, not fewer.
 PINNED_OBSERVED = {
-    "codec-bijection": "330000 roundtrips, 15373 distinct pairs",
+    ("closed-form-dimensions", 0): "0.438017879486, 0.210309917857",
+    ("moran-edge-cases", 0): "alpha = 0 and alpha = 1 on the nose",
+    ("cylinder-identities", 0): "1000/1000 exact",
+    ("ordering-and-gaps", 0): "16849 orders, 4669 gaps clean",
+    ("measure-recursion", 0): "all stages exact; stage-8 = 3.806e-04",
+    ("extrema-cross-check", 0): "33 (s,u) pairs agree exactly",
+    ("box-count-oracle", 0): (
+        "marker-0 base 3: slope 0.4381 vs 0.4380; marker-0 base 4: slope "
+        "0.4397 vs 0.4396; pooled base 3: slope 0.6309 vs 0.6309"
+    ),
+    ("normality-dichotomy", 0): "20000 boundaries, residual 0",
+    ("codec-bijection", 0): "330000 roundtrips, 15373 distinct pairs",
+    ("cylinder-identities", 1): "1000/1000 exact",
+    ("normality-dichotomy", 1): "20000 boundaries, residual 0",
+    ("codec-bijection", 1): "330000 roundtrips, 15347 distinct pairs",
 }
+SEEDED = [(name, fn) for name, fn in CRITERIA if "seed" in fn.__code__.co_varnames]
 
 
 @pytest.mark.parametrize(
@@ -26,5 +44,53 @@ def test_criterion(name, fn, capsys):
     with capsys.disabled():
         print(result.line())
     assert result.passed, result.line()
-    if name in PINNED_OBSERVED:
-        assert result.observed == PINNED_OBSERVED[name]
+    assert result.observed == PINNED_OBSERVED[name, 0]
+
+
+@pytest.mark.parametrize("name,fn", SEEDED, ids=[name for name, _ in SEEDED])
+def test_seeded_criterion_at_seed_1(name, fn):
+    result = fn(seed=1)
+    assert result.passed, result.line()
+    assert result.observed == PINNED_OBSERVED[name, 1]
+
+
+def test_every_row_is_pinned():
+    assert {name for name, _ in PINNED_OBSERVED} == {name for name, _ in CRITERIA}
+    assert {name for name, seed in PINNED_OBSERVED if seed == 1} == {n for n, _ in SEEDED}
+
+
+def test_sampler_draws_as_the_stdlib():
+    # One interleaved script of choice, randint, randrange and random
+    # calls, every size 1..9 (so 1 and the powers of two) for each kind:
+    # the values and the final state must be the stdlib's.  A change to
+    # `Random._randbelow` in the interpreter fails this test.
+    kinds = ("choice", "randint", "randrange", "random")
+    for seed in range(24):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        randint, choices = _sampler(ours)
+        script = [(kind, n) for kind in kinds for n in range(1, 10)] * 3
+        random.Random(-seed).shuffle(script)
+        for step, (kind, n) in enumerate(script):
+            if kind == "choice":
+                seq = tuple(range(10 * n, 11 * n))
+                count = step % 4
+                got = choices(seq, count)
+                want = tuple(theirs.choice(seq) for _ in range(count))
+            elif kind == "randint":
+                a = step % 7 - 3
+                got, want = randint(a, a + n - 1), theirs.randint(a, a + n - 1)
+            elif kind == "randrange":
+                got, want = randint(0, n - 1), theirs.randrange(n)
+            else:
+                got, want = ours.random(), theirs.random()
+            assert got == want, (seed, step, kind, n)
+        assert ours.getstate() == theirs.getstate(), seed
+
+
+def test_sampler_refuses_what_the_stdlib_refuses():
+    randint, choices = _sampler(random.Random(0))
+    assert choices((), 0) == ()
+    with pytest.raises(IndexError):
+        choices((), 1)
+    with pytest.raises(ValueError):
+        randint(1, 0)

@@ -276,6 +276,11 @@ class TestSubcommands:
             (["dim", "--s", "1000000", "--u", "0"], 0.1, "bit-steps; budget is"),
             # a 4,761-digit denominator cannot be printed
             (["cylinder", "--s", "1500", "--u", "0", "--base", "1"], 1.0, "4761-digit integer"),
+            # refused from s and u before s**(s-1) is built
+            (["cylinder", "--s", "100000", "--u", "0", "--base", "1"], 0.1,
+             "cylinder of s=100000, u=0 prints an integer of at least 399993 digits, "
+             "over the 4300-digit limit"),
+            (["gaps", "--s", "100000", "--p", "1"], 0.1, "gap of s=100000, u=0 prints"),
             # the stage's block count and sum come in closed form
             (["measure", "--s", "10000000", "--u", "0", "--k", "1"], 0.1,
              "stage 1 for (s=10000000, u=0)"),

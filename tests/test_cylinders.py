@@ -1,5 +1,7 @@
 """Cylinder hulls, sibling ordering, gaps, and point location."""
 
+import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +15,7 @@ from sadicsets import (
     InvalidBaseError,
     NotAMemberError,
     RangeError,
+    ResourceBudgetError,
     block_alphabet,
     cylinder,
     cylinder_diameter,
@@ -24,7 +27,8 @@ from sadicsets import (
     point_locate,
     set_extrema,
 )
-from sadicsets.cylinders import LocateResult
+from sadicsets import cylinders
+from sadicsets.cylinders import LocateResult, _check_printable
 from sadicsets.sadic import _hull_order
 
 
@@ -458,6 +462,28 @@ class TestExtensionBounds:
         _, bhi = extension_value_bounds(4, 3, (), 1)
         assert bhi > hi
 
+    @given(marked_bases(max_rank=4), st.integers(1, 6))
+    @settings(deadline=None, max_examples=60)
+    def test_cache_matches_the_uncached_programme(self, drawn, n):
+        # the cached programme serves every base of (s, u, n); the answer
+        # must be that of running it afresh for this base
+        s, u, base = drawn
+        cached = extension_value_bounds(s, u, base, n)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(
+                cylinders, "_extension_bounds_q", cylinders._extension_bounds_q.__wrapped__
+            )
+            assert extension_value_bounds(s, u, base, n) == cached
+
+    @pytest.mark.parametrize("n", [True, 1.0, 2.0])
+    def test_cached_depth_still_checks_its_type(self, n):
+        # the int entries are cached first; a bool or float depth equal to
+        # one of them is refused, not served from the cache
+        extension_value_bounds(3, 0, (), 1)
+        extension_value_bounds(3, 0, (), 2)
+        with pytest.raises(InvalidBaseError, match="n_blocks must be an int"):
+            extension_value_bounds(3, 0, (), n)
+
     def test_deep_extension_needs_no_recursion(self):
         # 1500 blocks over the single-block alphabet {2}: one DP layer per
         # block, far deeper than the interpreter's recursion limit
@@ -465,3 +491,62 @@ class TestExtensionBounds:
         blo, bhi = extension_value_bounds(3, 1, (), 1500)
         assert abs(blo - lo) <= Fraction(1, 3**3000)
         assert abs(bhi - hi) <= Fraction(1, 3**3000)
+
+
+def _printed_digits(doc) -> int:
+    # digits of the longest integer in a `to_json` document
+    return max(
+        len(value[key].lstrip("-"))
+        for value in doc.values()
+        if isinstance(value, dict)
+        for key in ("num", "den")
+    )
+
+
+class TestPrintableCheck:
+    """`_check_printable` refuses on a lower bound: a limit that admits
+    every printed integer must never be refused."""
+
+    def test_bound_stays_below_the_printed_digits(self, monkeypatch):
+        rng = random.Random(0)
+        for s in range(3, 41):
+            for u in range(s):
+                alphabet = block_alphabet(s, u)
+                for r in (0, 1, 2, 5):
+                    base = tuple(rng.choice(alphabet) for _ in range(r))
+                    digits = _printed_digits(cylinder(s, u, base).to_json())
+                    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits)
+                    _check_printable(s, u, base)
+                    monkeypatch.undo()
+            for p in range(1, s - 1):
+                base = tuple(rng.randint(1, s - 1) for _ in range(rng.randint(0, 3)))
+                digits = _printed_digits(gap_interval(s, base, p).to_json())
+                monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits)
+                _check_printable(s, 0, base, p)
+                monkeypatch.undo()
+
+    def test_refuses_before_building_a_power(self):
+        with pytest.raises(ResourceBudgetError, match="at least 399993 digits, over the 4300"):
+            _check_printable(100000, 0, (1,))
+        with pytest.raises(ResourceBudgetError, match="gap of s=100000"):
+            _check_printable(100000, 0, (), 1)
+        # a long base: the diameter's denominator exceeds s**sum(base)
+        with pytest.raises(ResourceBudgetError, match="at least 4301 digits"):
+            _check_printable(3, 0, (2,) * 8600)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((100000, 100000, ()), "marker 100000 out of range"),
+            ((100000, 0, (0,)), "base entry 0 out of range"),
+            ((100000, 0, (), 0), "p must be an int >= 1"),
+            ((100000, 0, (), 99999), "p must lie in 1..99998"),
+        ],
+    )
+    def test_bad_parameters_are_reported_first(self, args, message):
+        with pytest.raises(InvalidBaseError, match=message):
+            _check_printable(*args)
+
+    def test_no_limit_refuses_nothing(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        _check_printable(100000, 0, (1,))

@@ -415,6 +415,24 @@ class TestFloatSeed:
         # a count past the doubles starts from (0, 1]
         assert _seed_bracket(((1, 10**400), (3, 1)), 3) == (0, 0)
 
+    @pytest.mark.parametrize("steps", [-3, -2, 2, 3])
+    @pytest.mark.parametrize(
+        "eq",
+        [MoranEquation(3, {1: 1, 2: 1}), MoranEquation(7, {1: 1, 3: 1, 4: 1, 5: 1, 6: 1})],
+        ids=["golden-mean", "marker-2-base-7"],
+    )
+    def test_seed_bracket_falls_back_from_an_off_float_root(self, monkeypatch, eq, steps):
+        # a float root a few grid steps below the root fails the second
+        # sign test, one above it fails the first even after m - 1: both
+        # start from (0, 1] and end on the bracket of the plain bisection
+        top = eq.counts[-1][0]
+        m, b = _seed_bracket(eq.counts, top)
+        assert b == dimension._SEED_LEVEL
+        off = (m + steps + 0.5) / (1 << b)
+        monkeypatch.setattr(dimension, "_float_root", lambda counts: off)
+        assert _seed_bracket(eq.counts, top) == (0, 0)
+        assert moran_solve(eq) == _bisect_from_zero(eq)
+
 
 class TestMoranEquation:
     def test_from_alphabet(self):
