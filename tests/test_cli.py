@@ -276,17 +276,17 @@ class TestSubcommands:
             (["dim", "--s", "1000000", "--u", "0"], 0.1, "bit-steps; budget is"),
             # a 4,761-digit denominator cannot be printed
             (["cylinder", "--s", "1500", "--u", "0", "--base", "1"], 1.0, "4761-digit integer"),
-            # refused from s and u before s**(s-1) is built
-            (["cylinder", "--s", "100000", "--u", "0", "--base", "1"], 0.1,
-             "cylinder of s=100000, u=0 prints an integer of at least 399993 digits, "
-             "over the 4300-digit limit"),
-            (["gaps", "--s", "100000", "--p", "1"], 0.1, "gap of s=100000, u=0 prints"),
             # the stage's block count and sum come in closed form
             (["measure", "--s", "10000000", "--u", "0", "--k", "1"], 0.1,
              "stage 1 for (s=10000000, u=0)"),
             # the profile's size comes from s, before any digit is counted
             (["freq", "--s", "100000", "--preperiod", "1", "--k", "1"], 0.1,
              "would hold 100000 digit counts, budget is 65536"),
+            # refused from s and u before s**(s-1) is built
+            (["cylinder", "--s", "100000", "--u", "0", "--base", "1"], 0.1,
+             "cylinder of s=100000, u=0 prints an integer of at least 399993 digits, "
+             "over the 4300-digit limit"),
+            (["gaps", "--s", "100000", "--p", "1"], 0.1, "gap of s=100000, u=0 prints"),
         ],
     )
     def test_refused_without_a_traceback(self, argv, seconds, message, capsys):
