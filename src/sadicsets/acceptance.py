@@ -22,8 +22,8 @@ from itertools import product
 
 from .combos import (
     ComboAlphabet,
+    _digit_cylinders,
     comboset_extrema,
-    enumerate_prefixes,
     induced_alphabet,
     sprime3_alphabet,
     tilde_alphabet,
@@ -231,9 +231,9 @@ def check_cylinder_identities(seed: int = 0) -> CriterionResult:
 def check_ordering_and_gaps() -> CriterionResult:
     """All adjacent sibling pairs at ranks <= 3 for s in 3..8, every u:
     exact separation matching the marker regime; and every marker-0 gap
-    at those ranks contains no member value from the depth-12 enumeration
-    and, where the frontier refines the gap's children, overlaps no
-    depth-12 frontier hull."""
+    at those ranks contains no member value from the depth-12 digit
+    cylinders and, where they refine the gap's children, overlaps none
+    of their hulls."""
     t0 = time.perf_counter()
     failures = []
     orders = 0
@@ -251,20 +251,17 @@ def check_ordering_and_gaps() -> CriterionResult:
                         orders += 1
                     except Exception as e:  # noqa: BLE001 - report, not crash
                         failures.append(f"order s={s} u={u} base={base} p={p}: {e}")
-        # sorted by lower endpoint, as `enumerate_prefixes` returns them
-        hulls = [h for h, _ in enumerate_prefixes(induced_alphabet(s, 0), 12)]
-        # Every endpoint as an integer over one common denominator den,
-        # so the sort and the bisections compare ints, not `Fraction`s.
-        den = math.lcm(*{e.denominator for h in hulls for e in h})
-        scaled = [
-            (lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
-            for lo, hi in hulls
-        ]
+        # The depth-12 digit cylinders in digit order, as integers over
+        # one denominator den: their endpoints come out sorted, and the
+        # bisections compare ints, not `Fraction`s.
+        paths, ext = _digit_cylinders(induced_alphabet(s, 0), 12)
+        q = ext[0][0]
+        den = q * s**12
+        scaled = [(t * q + ext[i][1], t * q + ext[i][2]) for t, i in paths]
         hull_infs = [lo for lo, _ in scaled]
         # Hull endpoints are attained by eventually periodic continuations,
         # so they are genuine member values reached at depth 12.
-        values = sorted({e for h in scaled for e in h})
-        max_len = s - 1
+        values = [e for h in scaled for e in h]
         bases0 = [
             b for r in range(4) for b in product(range(1, s), repeat=r)
         ]
@@ -282,14 +279,16 @@ def check_ordering_and_gaps() -> CriterionResult:
                         f"gap s={s} base={base} p={p} contains member value "
                         f"{Fraction(values[i], den)}"
                     )
-                if sum(base) + max_len > 12:
-                    # a frontier ancestor hull may legitimately contain
-                    # this gap; only the member-value check applies
+                if sum(base) + p > 12:
+                    # a 12-digit cylinder within base 0^(p-1), the common
+                    # prefix of children p and p+1, may contain this gap;
+                    # only the member-value check applies
                     continue
                 j = bisect_left(hull_infs, -(-c * den // d)) - 1
                 if j >= 0 and scaled[j][1] * b > a * den:
+                    hull = tuple(Fraction(e, den) for e in scaled[j])
                     failures.append(
-                        f"gap s={s} base={base} p={p} overlaps hull {hulls[j]}"
+                        f"gap s={s} base={base} p={p} overlaps hull {hull}"
                     )
     return _result(
         "ordering-and-gaps",

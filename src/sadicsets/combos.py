@@ -22,22 +22,19 @@ location) stay in these integers; a hull endpoint becomes a `Fraction`
 only when an API returns it, in `_hull`, which builds it with the
 trusted constructor `sadic._fraction`: one gcd and no argument checks.
 
-The frontier at depth D (`_frontier`) is built level by level over
-digit totals: every word sequence of total n <= D - L, L the longest
-word, is a parent and is extended by each word; the sequences of total
-n in (D - L, D] are the frontier, handed out as one group of numerators
-per n, with the word sequences that spell them.  `enumerate_prefixes`
-is its one caller.  Box counting and the extrema read no frontier:
-both read the alphabet's word automaton (`_word_automaton`), the subset
-construction of its word trie.
-
-Frontier enumeration is refused with `ResourceBudgetError` when the
-exact frontier size, counted from the length histogram alone
-(`_frontier_size`), exceeds `FRONTIER_BUDGET`; a depth at which the
-m**j sequences of j words, j*L <= depth - L, already exceed it is
-refused from that bound, before the count.  So is a built-in alphabet
-whose words, counted in closed form, would hold more than
-`FRONTIER_BUDGET` digits.
+The digit cylinders of depth D (`_digit_cylinders`) are the D-digit
+paths of the word automaton (`_word_automaton`, the subset
+construction of the word trie, which box counting and the extrema read
+too), however many word sequences spell each.  A path t ending in
+state q has the hull (t + [inf_q, sup_q]) / s**D, inf_q and sup_q the
+least and greatest stream from q (`_extreme_values`).  Expanded in
+digit order, the hulls come out sorted, neighbours sharing at most an
+endpoint, as t (s-1)^inf = (t+1) 0^inf.  They are refused with
+`ResourceBudgetError` at the first level whose path count
+(`_path_counts`) exceeds `FRONTIER_BUDGET`; every state is live, so
+the count never falls with depth.  So is a built-in alphabet whose
+words, counted in closed form, would hold more than `FRONTIER_BUDGET`
+digits.
 
 Whole-set extrema follow the single-word periodic rule: the least and
 greatest element are attained by repeating one alphabet word forever.
@@ -49,9 +46,10 @@ as many steps as there are states.  A claim that differs from those
 values raises `ExtremaFalsificationError` naming the stream.  The
 check runs there alone, for tests and the extrema cross-check row of
 `acceptance` (s <= 8): the hull layers read their extrema unchecked,
-`combo_cylinder` and `enumerate_prefixes` from `_extrema_q`, and the
-marker-set `cylinder`, `cylinder_order`, `point_locate` and
-`cover_stage` from the closed forms of `set_extrema`.
+`combo_cylinder` from `_extrema_q`, `enumerate_prefixes` from the same
+walks taken from every state, and the marker-set `cylinder`,
+`cylinder_order`, `point_locate` and `cover_stage` from the closed
+forms of `set_extrema`.
 """
 
 from __future__ import annotations
@@ -82,20 +80,21 @@ from .sadic import (
 
 Interval = tuple[Rational, Rational]
 
-# Most frontier prefixes one enumeration may visit, most trie-edge reads
+# Most digit cylinders one enumeration may list, most trie-edge reads
 # one pass over the word automaton may make (`_word_automaton`; a
-# box-counting transfer reads it once per digit level), and most digits
-# a built-in alphabet may hold.  At the budget ({0, 1} in base 2 at
-# depth 20), `enumerate_prefixes`, which returns a `Fraction` hull per
-# prefix, takes 12-14 s and 730 MB above the interpreter; a transfer
-# near it (tilde:20 to exponent 248, tilde:40 to 79) 0.1-0.2 s and
-# under 5 MB (2 cores, Python 3.11).
+# box-counting transfer or a cylinder enumeration reads it once per
+# digit level), and most digits a built-in alphabet may hold.  At the
+# budget ({0, 1} in base 2 at depth 20), `enumerate_prefixes`, which
+# returns a `Fraction` hull and a digit tuple per cylinder, takes 7-10 s
+# and about 700 MB above the interpreter; a transfer near it (tilde:20 to
+# exponent 248, tilde:40 to 79) 0.1-0.2 s and under 5 MB (2 cores,
+# Python 3.11).
 FRONTIER_BUDGET = 1 << 20
 
 
 def _check_alphabet_digits(digits: int, what: str) -> None:
     # Refuse, before a word is built, an alphabet of more digits than
-    # any frontier over it could be allowed to visit.
+    # one pass over its word trie could be allowed to read.
     if digits > FRONTIER_BUDGET:
         raise ResourceBudgetError(
             f"{what} would hold {digits} digits, budget is {FRONTIER_BUDGET}"
@@ -167,8 +166,9 @@ class ComboAlphabet:
         """True when no word is a proper prefix of another.
 
         Without this, distinct word sequences can spell the same digit
-        stream, so combo-cylinder disjointness may fail; the dimension
-        equation still only sees the length histogram.
+        stream, so combo cylinders of distinct bases may overlap and the
+        Moran root is only an upper bound on the dimension; the digit
+        cylinders of `enumerate_prefixes` are the set's either way.
         """
         words = sorted(self.combos)
         return not any(
@@ -277,69 +277,6 @@ class ComboExtrema:
     arg_sup: tuple[int, ...]
 
 
-def _frontier_size(a: ComboAlphabet, max_digits: int) -> int:
-    """Exact number of frontier prefixes at ``max_digits``, from the
-    length histogram alone.
-
-    f[n] = sum_k N_k f[n-k] counts the word sequences of digit total n.
-    Each of them with n <= max_digits - L (L the longest word) is a
-    parent, and gives one frontier prefix per word whose length carries
-    it past that bound.
-    """
-    low = max_digits - a.max_len
-    counts = a.length_counts.items()
-    f = [1]
-    for n in range(1, low + 1):
-        f.append(sum(c * f[n - k] for k, c in counts if k <= n))
-    return sum(
-        f[p] * sum(c for k, c in counts if p + k > low) for p in range(low + 1)
-    )
-
-
-def _frontier(a: ComboAlphabet, max_digits: int, what: str):
-    """Check ``max_digits`` (named ``what`` in errors) and the frontier
-    budget, then list the frontier prefixes, one group (n, nums, paths)
-    per digit total n in (max_digits - L, max_digits], L the longest
-    word: the prefixes of total n are num / s**n for num in ``nums``,
-    spelled by the word sequences in ``paths``, in step.
-
-    Each infinite stream of alphabet words passes through exactly one
-    such frontier prefix, so the frontier hulls cover the whole set.
-    """
-    _require_int(max_digits, a.max_len, RangeError, what)
-    # Each of the m**j sequences of j words, j*L <= max_digits - L, is a
-    # parent with frontier prefixes of its own, and m**j > 2**j exceeds
-    # the budget: refuse from that bound before the exact count, whose
-    # DP grows with max_digits.
-    j = (max_digits - a.max_len) // a.max_len
-    if a.m >= 2 and j > FRONTIER_BUDGET.bit_length():
-        raise ResourceBudgetError(
-            f"{what} {max_digits} would enumerate at least {a.m}**{j} "
-            f"frontier prefixes, budget is {FRONTIER_BUDGET}"
-        )
-    size = _frontier_size(a, max_digits)
-    if size > FRONTIER_BUDGET:
-        raise ResourceBudgetError(
-            f"{what} {max_digits} would enumerate {size} frontier prefixes, "
-            f"budget is {FRONTIER_BUDGET}"
-        )
-    # Level by level over digit totals: every prefix of total n <= low
-    # is a parent, extended by each word into level n + len(word); the
-    # levels above low are the frontier.  A parent level is dropped once
-    # extended.
-    low = max_digits - a.max_len
-    steps = _word_steps(a.s, a.combos)
-    nums = [[0]] + [[] for _ in range(max_digits)]
-    paths = [[()]] + [[] for _ in range(max_digits)]
-    for n in range(low + 1):
-        level, nums[n] = nums[n], None
-        named, paths[n] = paths[n], None
-        for (k, step, v), w in zip(steps, a.combos):
-            nums[n + k] += [num * step + v for num in level]
-            paths[n + k] += [path + (w,) for path in named]
-    return [(n, nums[n], paths[n]) for n in range(low + 1, max_digits + 1)]
-
-
 def _word_automaton(
     a: ComboAlphabet, levels: int, what: str
 ) -> list[dict[int, int]]:
@@ -401,20 +338,82 @@ def _word_automaton(
     return rows
 
 
-def _extreme_stream(s: int, rows: list[dict[int, int]], pick) -> DigitString:
-    """The stream the word automaton spells from its start by always
-    reading the digit ``pick`` (min or max) takes from a state's row;
-    the automaton is deterministic, so the walk closes a cycle within
-    len(rows) steps."""
+def _extreme_stream(
+    s: int, rows: list[dict[int, int]], pick, start: int = 0
+) -> DigitString:
+    """The stream the word automaton spells from state ``start`` by
+    always reading the digit ``pick`` (min or max) takes from a state's
+    row; the automaton is deterministic, so the walk closes a cycle
+    within len(rows) steps."""
     digits: list[int] = []
     seen: dict[int, int] = {}  # state -> digits read before it
-    state = 0
+    state = start
     while state not in seen:
         seen[state] = len(digits)
         digits.append(pick(rows[state]))
         state = rows[state][digits[-1]]
     cut = seen[state]
     return DigitString(s, digits[:cut], digits[cut:])
+
+
+def _extreme_values(s: int, rows: list[dict[int, int]], pick) -> list[Fraction]:
+    """Per state, the value of its `_extreme_stream`, each state walked
+    once: a cycle's value is read from its stream, and a state before
+    it has the value (d + next) / s of its digit d and next state."""
+    value: list = [None] * len(rows)  # False: on the current walk
+    for first in range(len(rows)):
+        walk, state = [], first
+        while value[state] is None:
+            value[state] = False
+            walk.append(state)
+            state = rows[state][pick(rows[state])]
+        if value[state] is False:  # the walk closed a cycle at state
+            value[state] = digits_to_rational(_extreme_stream(s, rows, pick, state))
+        for state in reversed(walk):
+            if value[state] is False:
+                d = pick(rows[state])
+                value[state] = (d + value[rows[state][d]]) / s
+    return value
+
+
+def _path_counts(rows: list[dict[int, int]], levels: int):
+    """Per level j = 0..levels, how many j-digit paths of the word
+    automaton from its start end in each state."""
+    paths = [1] + [0] * (len(rows) - 1)
+    yield paths
+    for _ in range(levels):
+        step = [0] * len(rows)
+        for i, n in enumerate(paths):
+            if n:
+                for nxt in rows[i].values():
+                    step[nxt] += n
+        paths = step
+        yield paths
+
+
+def _digit_cylinders(a: ComboAlphabet, depth: int):
+    """The set's ``depth``-digit cylinders in integer form, (paths, ext):
+    each path of the word automaton from its start, in digit order, as
+    (t, q), t its digits read as an integer and q its end state, and
+    ext[q] = (Q, p_lo, p_hi), the least and greatest stream from q over
+    one denominator Q, so (t, q) has the hull (t*Q + [p_lo, p_hi]) /
+    (Q * s**depth).  Refused at the first level whose path count
+    exceeds `FRONTIER_BUDGET`, before any hull is built."""
+    _require_int(depth, 1, RangeError, "max_digits")
+    rows = _word_automaton(a, depth, f"max_digits {depth}")
+    for level, paths in enumerate(_path_counts(rows, depth)):
+        if sum(paths) > FRONTIER_BUDGET:
+            raise ResourceBudgetError(
+                f"max_digits {depth} would enumerate at least {sum(paths)} digit "
+                f"cylinders, the count at depth {level}; budget is {FRONTIER_BUDGET}"
+            )
+    ends = list(zip(_extreme_values(a.s, rows, min), _extreme_values(a.s, rows, max)))
+    q = math.lcm(*(v.denominator for end in ends for v in end))
+    ext = [(q, int(lo * q), int(hi * q)) for lo, hi in ends]
+    paths = [(0, 0)]
+    for _ in range(depth):
+        paths = [(t * a.s + d, nxt) for t, i in paths for d, nxt in rows[i].items()]
+    return paths, ext
 
 
 def comboset_extrema(a: ComboAlphabet) -> ComboExtrema:
@@ -483,20 +482,21 @@ def combo_cylinder(a: ComboAlphabet, base) -> ComboCylinder:
 
 def enumerate_prefixes(
     a: ComboAlphabet, max_digits: int
-) -> list[tuple[Interval, tuple[tuple[int, ...], ...]]]:
-    """All frontier prefixes at the given digit depth with their hulls.
+) -> list[tuple[Interval, tuple[int, ...]]]:
+    """The set's digit cylinders of ``max_digits`` digits, with their hulls.
 
-    Returns (hull, prefix) pairs whose digit totals lie in
-    (max_digits - max word length, max_digits], sorted by (hull.lower,
-    prefix); their hulls cover the set.  The sort key is the integer
-    hull.lower * q * s**max_digits.
+    Returns one (hull, digits) pair per distinct ``max_digits``-digit
+    prefix of the set's streams, in digit order: the hulls are sorted,
+    neighbours share at most an endpoint, and together they cover the
+    set.  An alphabet whose word sequences spell some stream twice
+    still gives each prefix once.  Refused with `ResourceBudgetError`
+    when more than `FRONTIER_BUDGET` prefixes would be listed.
     """
-    frontier = _frontier(a, max_digits, "max_digits")
-    ext = q, p_lo, _ = _extrema_q(a)
-    pw = [a.s**n for n in range(max_digits + 1)]
-    keyed = sorted(
-        ((num * q + p_lo) * pw[max_digits - n], prefix, num, n)
-        for n, nums, paths in frontier
-        for num, prefix in zip(nums, paths)
-    )
-    return [(_hull(num, pw[n], ext), prefix) for _, prefix, num, n in keyed]
+    paths, ext = _digit_cylinders(a, max_digits)
+    s, scale, out = a.s, a.s**max_digits, []
+    for t, q in paths:
+        digits, rest = [0] * max_digits, t
+        for i in reversed(range(max_digits)):
+            rest, digits[i] = divmod(rest, s)
+        out.append((_hull(t, scale, ext[q]), tuple(digits)))
+    return out

@@ -46,7 +46,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .combos import ComboAlphabet, _word_automaton, tilde_alphabet
+from .combos import ComboAlphabet, _path_counts, _word_automaton, tilde_alphabet
 from .errors import (
     InvalidBaseError,
     RangeError,
@@ -423,22 +423,14 @@ def _transfer_counts(a: ComboAlphabet, fine: int) -> list[int]:
             if d < s - 1 and tops[nxt] is None
         ]
         waits.append([r for r in wait if r is not None])
-    paths = [1] + [0] * (len(rows) - 1)
     sizes, carries = [], [0] * (fine + 1)
     carries[0] = int(tops[0] is None)  # (s-1)^j, at every level
-    for j in range(fine + 1):
+    for j, paths in enumerate(_path_counts(rows, fine)):
         sizes.append(sum(paths))
-        if j == fine:
-            break
-        step = [0] * len(rows)
-        for i, n in enumerate(paths):
-            if n:
-                for nxt in rows[i].values():
-                    step[nxt] += n
-                for r in waits[i]:
-                    if j + 1 + r <= fine:
-                        carries[j + 1 + r] += n
-        paths = step
+        for n, wait in zip(paths, waits):
+            for r in wait:
+                if j + 1 + r <= fine:
+                    carries[j + 1 + r] += n
     return [size + carry for size, carry in zip(sizes, accumulate(carries))]
 
 
@@ -448,8 +440,8 @@ def box_count_for_alphabet(
     """Box-count the alphabet's set at scales s**-j for the given
     exponents j: the boxes [i, i+1) / s**j the set meets, counted by
     transfer over the word automaton (`_transfer_counts`), in integers,
-    for every j <= J at once.  They are also the boxes the prefix hulls
-    of any depth D >= J + L - 1 meet, L the longest word, as each such
+    for every j <= J at once.  They are also the boxes the digit-cylinder
+    hulls of any depth D >= J meet (`enumerate_prefixes`), as each such
     hull is no wider than s**-J and its endpoints lie in the set.
 
     ``depth`` must be an int no less than the longest word and changes

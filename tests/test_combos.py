@@ -25,7 +25,9 @@ from sadicsets import (
     digits_to_rational,
 )
 from sadicsets import combos
-from sadicsets.combos import _frontier_size
+from sadicsets.combos import _extrema_q, _hull, _word_steps
+from sadicsets.errors import RangeError
+from sadicsets.sadic import _require_int
 
 
 @st.composite
@@ -36,6 +38,80 @@ def small_alphabets(draw):
     word = st.lists(st.integers(0, s - 1), min_size=1, max_size=3).map(tuple)
     words = draw(st.sets(word, min_size=1, max_size=4))
     return ComboAlphabet(s, tuple(sorted(words)))
+
+
+def _frontier_size(a, max_digits):
+    """Exact number of frontier prefixes at ``max_digits``, from the
+    length histogram alone.
+
+    f[n] = sum_k N_k f[n-k] counts the word sequences of digit total n.
+    Each of them with n <= max_digits - L (L the longest word) is a
+    parent, and gives one frontier prefix per word whose length carries
+    it past that bound.
+    """
+    low = max_digits - a.max_len
+    counts = a.length_counts.items()
+    f = [1]
+    for n in range(1, low + 1):
+        f.append(sum(c * f[n - k] for k, c in counts if k <= n))
+    return sum(
+        f[p] * sum(c for k, c in counts if p + k > low) for p in range(low + 1)
+    )
+
+
+def _frontier(a, max_digits, what):
+    """The word-sequence frontier, oracle of the digit cylinders of
+    `enumerate_prefixes`: check ``max_digits`` (named ``what`` in errors)
+    and the frontier budget, then list the frontier prefixes, one group
+    (n, nums, paths) per digit total n in (max_digits - L, max_digits],
+    L the longest word: the prefixes of total n are num / s**n for num
+    in ``nums``, spelled by the word sequences in ``paths``, in step.
+
+    Each infinite sequence of alphabet words passes through exactly one
+    such frontier prefix, so the frontier hulls cover the whole set.
+    """
+    _require_int(max_digits, a.max_len, RangeError, what)
+    # Each of the m**j sequences of j words, j*L <= max_digits - L, is a
+    # parent with frontier prefixes of its own, and m**j > 2**j exceeds
+    # the budget: refuse from that bound before the exact count, whose
+    # DP grows with max_digits.
+    j = (max_digits - a.max_len) // a.max_len
+    if a.m >= 2 and j > FRONTIER_BUDGET.bit_length():
+        raise ResourceBudgetError(
+            f"{what} {max_digits} would enumerate at least {a.m}**{j} "
+            f"frontier prefixes, budget is {FRONTIER_BUDGET}"
+        )
+    size = _frontier_size(a, max_digits)
+    if size > FRONTIER_BUDGET:
+        raise ResourceBudgetError(
+            f"{what} {max_digits} would enumerate {size} frontier prefixes, "
+            f"budget is {FRONTIER_BUDGET}"
+        )
+    # Level by level over digit totals: every prefix of total n <= low
+    # is a parent, extended by each word into level n + len(word); the
+    # levels above low are the frontier.
+    low = max_digits - a.max_len
+    steps = _word_steps(a.s, a.combos)
+    nums = [[0]] + [[] for _ in range(max_digits)]
+    paths = [[()]] + [[] for _ in range(max_digits)]
+    for n in range(low + 1):
+        for (k, step, v), w in zip(steps, a.combos):
+            nums[n + k] += [num * step + v for num in nums[n]]
+            paths[n + k] += [path + (w,) for path in paths[n]]
+    return [(n, nums[n], paths[n]) for n in range(low + 1, max_digits + 1)]
+
+
+def _frontier_prefixes(a, depth):
+    """Every (hull, word sequence) of the depth-`depth` frontier, the
+    hulls built from the claimed whole-set extrema (`_extrema_q`),
+    sorted by (hull.lower, word sequence)."""
+    ext = _extrema_q(a)
+    pairs = [
+        (_hull(num, a.s**n, ext), prefix)
+        for n, nums, paths in _frontier(a, depth, "max_digits")
+        for num, prefix in zip(nums, paths)
+    ]
+    return sorted(pairs, key=lambda item: (item[0][0], item[1]))
 
 
 def _reference_prefixes(a, depth):
@@ -58,14 +134,49 @@ def _reference_prefixes(a, depth):
     return sorted(out, key=lambda item: (item[0][0], item[1]))
 
 
+def _brute_cylinders(a, depth):
+    """Oracle of `enumerate_prefixes`: each `depth`-digit prefix of the
+    set's streams with its hull, by recursion over word sequences with
+    `Fraction` values.  The streams through a prefix are those of the
+    word sequences that first reach `depth` digits through it, each
+    value(sequence) + s**-n * E for its n digits, so the prefix's hull
+    runs from the least to the greatest of their hulls."""
+    tails = [digits_to_rational(DigitString(a.s, (), w)) for w in a.combos]
+    lo, hi = min(tails), max(tails)
+    hulls = {}
+
+    def grow(digits):
+        for w in a.combos:
+            longer = digits + w
+            if len(longer) < depth:
+                grow(longer)
+                continue
+            v = digits_to_rational(DigitString(a.s, longer))
+            scale = a.s ** len(longer)
+            low, high = v + lo / scale, v + hi / scale
+            key = longer[:depth]
+            if key in hulls:
+                low, high = min(low, hulls[key][0]), max(high, hulls[key][1])
+            hulls[key] = (low, high)
+
+    grow(())
+    return [(hulls[key], key) for key in sorted(hulls)]
+
+
+def _cylinder_count(a, depth):
+    """How many digit cylinders `enumerate_prefixes(a, depth)` lists:
+    the depth-digit paths of the word automaton, counted in integers."""
+    *_, last = combos._path_counts(combos._word_automaton(a, depth, "depth"), depth)
+    return sum(last)
+
+
 def _frontier_extrema(a, depth):
     """Oracle of `comboset_extrema`: the extrema the depth-`depth`
-    frontier attests.  Each hull of `enumerate_prefixes` is
-    v + s**-N * [inf, sup] for the prefix value v of N digits, which
-    gives back the inf and sup it was built from; every hull must lie
-    inside [inf, sup], and the least lower and the greatest upper hull
-    endpoint must attain them."""
-    pairs = enumerate_prefixes(a, depth)
+    frontier attests.  Each frontier hull is v + s**-N * [inf, sup] for
+    the prefix value v of N digits, which gives back the inf and sup it
+    was built from; every hull must lie inside [inf, sup], and the least
+    lower and the greatest upper hull endpoint must attain them."""
+    pairs = _frontier_prefixes(a, depth)
     claims = set()
     for (lower, upper), prefix in pairs:
         digits = sum(prefix, ())
@@ -77,6 +188,11 @@ def _frontier_extrema(a, depth):
     assert min(lower for (lower, _), _ in pairs) == inf
     assert max(upper for (_, upper), _ in pairs) == sup
     return inf, sup
+
+
+# Alphabets that are not uniquely decodable: {0, 1, 01} spells every
+# stream over {0, 1}, {0, 00} only 0^inf.
+_PROBES = [ComboAlphabet(3, ("0", "1", "01")), ComboAlphabet(2, ("0", "00"))]
 
 
 class TestAlphabets:
@@ -183,8 +299,7 @@ class TestExtrema:
             with pytest.raises(ExtremaFalsificationError) as err:
                 comboset_extrema(a)
             assert f"stream {stream} of the word automaton" in str(err.value)
-            # the frontier oracle rejects the same claim, which the hulls
-            # of `enumerate_prefixes` now carry
+            # the frontier oracle, whose hulls carry the claim, rejects it
             with pytest.raises(AssertionError):
                 _frontier_extrema(a, 9)
 
@@ -203,10 +318,14 @@ class TestExtrema:
         assert digits_to_rational(DigitString(a.s, (), e.arg_sup)) == e.sup
 
     def test_walks_no_frontier(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the frontier was walked")
+        # no word-sequence frontier is left in the package, and the
+        # extrema walk lists no digit cylinders either
+        assert not hasattr(combos, "_frontier")
 
-        monkeypatch.setattr(combos, "_frontier", refuse)
+        def refuse(*args):
+            raise AssertionError("the digit paths were counted")
+
+        monkeypatch.setattr(combos, "_path_counts", refuse)
         e = comboset_extrema(tilde_alphabet(64))
         assert (e.inf, e.sup) == combos._extrema_raw(tilde_alphabet(64))[:2]
 
@@ -267,74 +386,145 @@ class TestComboCylinder:
 
 class TestEnumeratePrefixes:
     def test_sprime3_window_counts(self):
-        # words have length 3, so depth 6 captures exactly the 4 two-word
-        # prefixes and depth 3 the 2 one-word prefixes
+        # words have length 3 and the alphabet is prefix-free, so the 6-
+        # and 3-digit cylinders are the 4 two-word and 2 one-word prefixes
         assert len(enumerate_prefixes(sprime3_alphabet(), 6)) == 4
         assert len(enumerate_prefixes(sprime3_alphabet(), 3)) == 2
 
     def test_mixed_length_window(self):
+        # the frontier oracle's prefixes end at 3 or 4 digits; the digit
+        # cylinders all have exactly 4
         a = tilde_alphabet(3)
-        pre = enumerate_prefixes(a, 4)
-        totals = {sum(len(w) for w in p) for _, p in pre}
+        totals = {sum(len(w) for w in p) for _, p in _frontier_prefixes(a, 4)}
         assert totals == {3, 4}
+        assert {len(p) for _, p in enumerate_prefixes(a, 4)} == {4}
 
     def test_hulls_sorted_and_disjoint(self):
         hulls = [h for h, _ in enumerate_prefixes(induced_alphabet(3, 0), 10)]
         for (lo1, hi1), (lo2, hi2) in zip(hulls, hulls[1:]):
             assert lo1 <= lo2
-            assert hi1 < lo2  # marker-0 frontier hulls never touch
+            assert hi1 < lo2  # marker-0 digit cylinders never touch
 
     @given(st.integers(3, 6), st.integers(6, 10))
     @settings(deadline=None, max_examples=20)
     def test_every_stream_has_one_frontier_prefix(self, s, depth):
+        # each stream passes through exactly one digit cylinder, inside
+        # the hull of the one frontier prefix it passes through
         a = induced_alphabet(s, 0)
         pre = enumerate_prefixes(a, depth)
-        # prefix totals all land in the window (depth - max word, depth]
-        for _, p in pre:
-            total = sum(len(w) for w in p)
-            assert depth - a.max_len < total <= depth
-            # minimality: the parent prefix had not yet entered the window
-            assert total - len(p[-1]) <= depth - a.max_len
+        assert all(len(p) == depth for _, p in pre)
+        assert len({p for _, p in pre}) == len(pre)
+        frontier = {sum(p, ()): h for h, p in _frontier_prefixes(a, depth)}
+        for (lo, hi), p in pre:
+            [(flo, fhi)] = [h for d, h in frontier.items() if p[: len(d)] == d]
+            assert flo <= lo <= hi <= fhi
 
     @given(small_alphabets(), st.integers(0, 6))
     @settings(deadline=None, max_examples=150)
     def test_matches_fraction_reference(self, a, extra):
+        # the frontier oracle against its own `Fraction` reference
         depth = a.max_len + extra
-        pre = enumerate_prefixes(a, depth)
+        pre = _frontier_prefixes(a, depth)
         assert pre == _reference_prefixes(a, depth)
         assert len(pre) == _frontier_size(a, depth)
 
+    @given(small_alphabets(), st.integers(1, 6))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_the_brute_force(self, a, depth):
+        got = enumerate_prefixes(a, depth)
+        assert got == _brute_cylinders(a, depth)
+        assert len(got) == _cylinder_count(a, depth)
+
+    @pytest.mark.parametrize("a", _PROBES, ids=["0-1-01", "0-00"])
+    def test_undecodable_probes_match_the_brute_force(self, a):
+        got = enumerate_prefixes(a, 8)
+        assert got == _brute_cylinders(a, 8)
+        # every 8-digit stream over {0, 1}, or the one 0^8
+        assert len(got) == len({h for h, _ in got}) == (256 if a.m == 3 else 1)
+
+    @given(small_alphabets(), st.integers(1, 7))
+    @settings(deadline=None, max_examples=150)
+    def test_sorted_touching_at_most_at_an_end(self, a, depth):
+        hulls = [h for h, _ in enumerate_prefixes(a, depth)]
+        assert all(lo <= hi for lo, hi in hulls)
+        assert all(h1[1] <= h2[0] for h1, h2 in zip(hulls, hulls[1:]))
+
+    @given(small_alphabets(), st.integers(0, 4))
+    @settings(deadline=None, max_examples=150)
+    def test_digit_cylinders_refine_the_frontier(self, a, extra):
+        # Each stream through a digit cylinder passes a frontier prefix
+        # of its digits, so the cylinder's hull spans no more than those
+        # frontier hulls, and its ends, both members, lie in one each.
+        # It need not lie in one: {10, 101} in base 2 spells 101 both
+        # as 101 and as 10 then a word, and its 3-digit cylinder 101
+        # spans both frontier hulls.  For a prefix-free alphabet each
+        # frontier hull is the hull of the digit cylinders inside it.
+        depth = a.max_len + extra
+        cylinders = enumerate_prefixes(a, depth)
+        frontier = [(h, sum(p, ())) for h, p in _frontier_prefixes(a, depth)]
+        for (lo, hi), p in cylinders:
+            above = [h for h, digits in frontier if p[: len(digits)] == digits]
+            assert min(flo for flo, _ in above) <= lo and hi <= max(fhi for _, fhi in above)
+            for end in (lo, hi):
+                assert any(flo <= end <= fhi for flo, fhi in above)
+        if not a.is_prefix_free():
+            return
+        for hull, digits in frontier:
+            inside = [h for h, p in cylinders if p[: len(digits)] == digits]
+            assert hull == (min(lo for lo, _ in inside), max(hi for _, hi in inside))
+
+    @given(small_alphabets(), st.integers(1, 7))
+    @settings(deadline=None, max_examples=150)
+    def test_ends_are_the_extrema(self, a, depth):
+        hulls = [h for h, _ in enumerate_prefixes(a, depth)]
+        e = comboset_extrema(a)
+        assert (hulls[0][0], hulls[-1][1]) == (e.inf, e.sup)
+
+    def test_depths_below_the_longest_word(self):
+        # a depth shorter than a word lists the digit prefixes of the
+        # words' streams; a bool or float depth is refused
+        a = sprime3_alphabet()
+        assert [p for _, p in enumerate_prefixes(a, 1)] == [(0,), (1,)]
+        assert enumerate_prefixes(a, 2) == _brute_cylinders(a, 2)
+        for bad in (0, True, 2.0):
+            with pytest.raises(RangeError):
+                enumerate_prefixes(a, bad)
+
     def test_budget_refuses_before_enumerating(self):
         a = tilde_alphabet(9)
-        assert _frontier_size(a, 40) == 171_774_086_543_076_382_009
         with pytest.raises(ResourceBudgetError) as err:
             enumerate_prefixes(a, 40)
-        assert "171774086543076382009" in str(err.value)
-        assert str(FRONTIER_BUDGET) in str(err.value)
+        assert str(err.value) == (
+            "max_digits 40 would enumerate at least 1249006 digit cylinders, "
+            f"the count at depth 10; budget is {FRONTIER_BUDGET}"
+        )
+        assert _cylinder_count(a, 9) <= FRONTIER_BUDGET < _cylinder_count(a, 10) == 1249006
 
     def test_deep_frontier_refused_from_its_bound(self):
-        # (3, 0) has the words 1 and 02, so j = (D - 2) // 2: through
-        # j = 21 the exact count is stated, past it the bound 2**j
+        # (3, 0) has the words 1 and 02: its digit paths grow as the
+        # Fibonacci numbers, and 1346269 at depth 29 is the first count
+        # past the budget
         a = induced_alphabet(3, 0)
-        for depth, stated in ((44, f"{_frontier_size(a, 44)} "), (46, "at least 2**22 ")):
-            with pytest.raises(ResourceBudgetError) as err:
-                enumerate_prefixes(a, depth)
-            assert str(err.value) == (
-                f"max_digits {depth} would enumerate {stated}frontier prefixes, "
-                f"budget is {FRONTIER_BUDGET}"
-            )
-        # the exact count would take seconds and have too many digits
-        # to print
-        for depth, j in ((100_000, 49_999), (1_000_000, 499_999)):
+        for depth in (44, 46, 100_000):
             t0 = time.perf_counter()
             with pytest.raises(ResourceBudgetError) as err:
                 enumerate_prefixes(a, depth)
             assert time.perf_counter() - t0 < 0.1
             assert str(err.value) == (
-                f"max_digits {depth} would enumerate at least 2**{j} "
-                f"frontier prefixes, budget is {FRONTIER_BUDGET}"
+                f"max_digits {depth} would enumerate at least 1346269 digit "
+                f"cylinders, the count at depth 29; budget is {FRONTIER_BUDGET}"
             )
+        # so deep that the automaton's two edges, read once per level,
+        # already pass the budget
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError) as err:
+            enumerate_prefixes(a, 1_000_000)
+        assert time.perf_counter() - t0 < 0.1
+        assert str(err.value) == (
+            "max_digits 1000000 would read at least 2 trie edges per level, "
+            f"2000000 in all, budget is {FRONTIER_BUDGET}"
+        )
 
     def test_budget_admits_the_cli_default(self):
         # tilde:5 at the CLI's default depth 12
-        assert _frontier_size(tilde_alphabet(5), 12) == 55_789 <= FRONTIER_BUDGET
+        assert _cylinder_count(tilde_alphabet(5), 12) == 629_030 <= FRONTIER_BUDGET

@@ -31,7 +31,7 @@ from sadicsets import (
     tilde_alphabet,
 )
 from sadicsets import dimension
-from sadicsets.combos import _extrema_q, _frontier, _frontier_size
+from sadicsets.combos import _extrema_q
 from sadicsets.dimension import (
     DimensionResult,
     _alpha,
@@ -43,6 +43,7 @@ from sadicsets.dimension import (
     _seed_bracket,
     _solve_cost,
 )
+from test_combos import _cylinder_count, _frontier, _frontier_size
 
 PHI = (math.sqrt(5.0) + 1.0) / 2.0
 
@@ -418,13 +419,19 @@ class TestFloatSeed:
     @pytest.mark.parametrize("steps", [-3, -2, 2, 3])
     @pytest.mark.parametrize(
         "eq",
-        [MoranEquation(3, {1: 1, 2: 1}), MoranEquation(7, {1: 1, 3: 1, 4: 1, 5: 1, 6: 1})],
-        ids=["golden-mean", "marker-2-base-7"],
+        [
+            MoranEquation(3, {1: 1, 2: 1}),
+            MoranEquation(7, {1: 1, 3: 1, 4: 1, 5: 1, 6: 1}),
+            MoranEquation(3, {1: 2}),
+        ],
+        ids=["golden-mean", "marker-2-base-7", "dyadic-root"],
     )
     def test_seed_bracket_falls_back_from_an_off_float_root(self, monkeypatch, eq, steps):
         # a float root a few grid steps below the root fails the second
         # sign test, one above it fails the first even after m - 1: both
-        # start from (0, 1] and end on the bracket of the plain bisection
+        # start from (0, 1] and end on the bracket of the plain bisection.
+        # The dyadic root t = 1/2 lies on the grid, where P(m - 1) = 1
+        # exactly: m - 1 must be refused there, as P is not below 1
         top = eq.counts[-1][0]
         m, b = _seed_bracket(eq.counts, top)
         assert b == dimension._SEED_LEVEL
@@ -531,7 +538,7 @@ class TestBoxCounting:
             # the depth changes no count: every hull at depth J + L - 1
             # fits in the finest box
             depth = max(exponents) + a.max_len - 1
-            assume(_frontier_size(a, depth) <= 20_000)
+            assume(_cylinder_count(a, depth) <= 20_000)
             hulls = [h for h, _ in enumerate_prefixes(a, depth)]
             want = outcome(lambda: _box_count_estimate(hulls, scales))
         assert got == want

@@ -37,17 +37,23 @@ print(json.dumps(steps))
 """
 
 
+def fresh(code: str, *args: str):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports the
+    package from this checkout, and return the JSON it prints."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
 def cold(*commands: list[str]) -> list[tuple[int, set[str]]]:
     """In one fresh interpreter, import the package and the CLI, then run
     `cli.main` on each argv in turn.  Returns, for the import and then
     for each command, its exit code and the layers and numpy loaded."""
-    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(commands)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    return [(code, set(loaded)) for code, loaded in json.loads(proc.stdout)]
+    return [(code, set(loaded)) for code, loaded in fresh(_PROBE, json.dumps(commands))]
 
 
 def test_import_defers_every_layer_and_numpy():
@@ -78,3 +84,18 @@ def test_commands_that_need_dimension_still_run():
         [_, (code, loaded)] = cold(argv)
         assert code == 0, argv
         assert {"numpy", "sadicsets.dimension"} <= loaded, argv
+
+
+def test_word_alphabet_geometry_loads_no_dimension():
+    # the digit cylinders and the extrema read the word automaton in
+    # `combos`, whose path count must not come from `dimension`
+    probe = (
+        "import json, sys, sadicsets\n"
+        "a = sadicsets.induced_alphabet(3, 0)\n"
+        "n = len(sadicsets.enumerate_prefixes(a, 12))\n"
+        "sadicsets.comboset_extrema(a)\n"
+        "print(json.dumps([n, sorted(sys.modules)]))\n"
+    )
+    count, loaded = fresh(probe)
+    assert count == 377  # the 12-digit prefixes over {1, 02}: F(14)
+    assert not {"numpy", "sadicsets.dimension"} & set(loaded)
